@@ -1,42 +1,29 @@
-"""Engine benchmark: the execution engines head-to-head.
+"""Engine benchmark: kernel state-space reduction on and off.
 
 Replays the E1 (decision rounds vs n) and E6 (counting) workloads in
-four modes:
+two modes, both on one shared, pre-warmed
+:class:`repro.algebra.cache.AutomatonCache` (compiled automata, warm
+transition tables, stable class ids):
 
-* ``naive``      — what every run cost before the execution engine: a
-  cold ``compile_formula`` per grid point (no table reuse between
-  points) and the round-by-round naive scheduler.
-* ``batched``    — the engine path: one shared, pre-warmed
-  :class:`repro.algebra.cache.AutomatonCache` (compiled automata, warm
-  transition tables, stable class ids) and the batched scheduler.
-* ``vectorized`` — the batched path plus the
-  :class:`repro.algebra.tables.TabulatedAutomaton` kernel: hash-consed
-  integer state ids, dense transition tables, digest-memoized joins.
-* ``minimized``  — the batched path plus the
-  :mod:`repro.algebra.minimize` state-space reduction: every kernel
-  state is canonicalized to one representative per accept-behavior
-  class, so the batched scheduler's per-op caches collapse onto a far
-  smaller working set.  (The vectorized kernel already tabulates every
-  join, so minimization buys it little warm — the batched engine, the
-  Session default, is where the reduction pays.)
+* ``batched``   — the raw automaton (``minimize=False``);
+* ``minimized`` — the :mod:`repro.algebra.minimize` state-space
+  reduction: every kernel state is canonicalized to one representative
+  per accept-behavior class, so the per-op caches collapse onto a far
+  smaller working set.
 
-All modes run the exact same grid through
+Both modes run the exact same grid through
 :func:`repro.congest.parallel.run_sweep`, so per-point seeds are the
 sweep's deterministic shard seeds.  Verdicts are cross-checked between
-modes — a speedup that changes an answer is a bug, not a result.  The
-first three modes pin ``minimize=False`` and must agree on rounds too;
-``minimized`` legitimately changes the transcript (it is a run-config
-change), so only its answers are cross-checked.
+the modes — a speedup that changes an answer is a bug, not a result.
+Minimization legitimately changes the transcript (it is a run-config
+change), so rounds are only recorded, from the ``batched`` mode.
 
-Three speedups are reported per experiment: ``speedup`` (naive over
-batched, the historical engine gate), ``vectorized_speedup``
-(batched over vectorized, the kernel gate), and ``minimized_speedup``
-(batched over batched-with-minimization, the state-reduction gate).
-E6's counting joins are merge-dominated, so the vectorized kernel must
-win big there (>= 3x warm) and minimization must too (>= 1.5x: three
-quarters of its reachable states collapse); E1's decide workload is
-elimination-bound, so all kernels only have to not lose (>= 1x minus a
-noise margin).
+One speedup is reported per experiment: ``minimized_speedup`` (batched
+over batched-with-minimization, the state-reduction gate).  E6's
+counting joins are merge-dominated and three quarters of its reachable
+states collapse, so minimization must win there (>= 1.5x); E1's decide
+workload is elimination-bound, so it only has to not lose (>= 1x minus
+a noise margin).
 
 Usage::
 
@@ -45,8 +32,8 @@ Usage::
 
 The full run writes ``BENCH_engine.json`` at the repo root and fails if
 either experiment's speedup drops below its threshold; ``--smoke``
-shrinks the grid and only requires the faster modes to not be slower,
-which is the CI perf gate.
+shrinks the grid and only requires the minimized mode to not be
+meaningfully slower, which is the CI perf gate.
 """
 
 from __future__ import annotations
@@ -57,7 +44,7 @@ import os
 import sys
 import time
 
-from repro.algebra import AutomatonCache, compile_formula
+from repro.algebra import AutomatonCache
 from repro.algebra.minimize import minimized_automaton
 from repro.congest.parallel import run_sweep
 from repro.distributed import count_pipeline, decide_pipeline
@@ -84,70 +71,43 @@ def _graph(params):
     )
 
 
-def _decide_cached(params, engine, minimize=False):
+def _decide_cached(params, minimize=False):
     automaton, codec = _CACHE.automaton_with_codec(
         _decide_formula(), (), d=params["d"], labels=()
     )
     out = decide_pipeline(
-        automaton, _graph(params), params["d"], codec=codec, engine=engine,
+        automaton, _graph(params), params["d"], codec=codec,
         minimize=minimize,
     )
     return {"verdict": out.accepted, "rounds": out.total_rounds}
 
 
-def _count_cached(params, engine, minimize=False):
+def _count_cached(params, minimize=False):
     formula, variables = _count_formula()
     automaton, codec = _CACHE.automaton_with_codec(
         formula, variables, d=params["d"], labels=()
     )
     out = count_pipeline(
-        automaton, _graph(params), params["d"], codec=codec, engine=engine,
+        automaton, _graph(params), params["d"], codec=codec,
         minimize=minimize,
     )
     return {"verdict": out.count, "rounds": out.total_rounds}
 
 
-def decide_naive_worker(params):
-    automaton = compile_formula(_decide_formula())  # cold per point
-    out = decide_pipeline(
-        automaton, _graph(params), params["d"], engine="naive",
-        minimize=False,
-    )
-    return {"verdict": out.accepted, "rounds": out.total_rounds}
-
-
 def decide_batched_worker(params):
-    return _decide_cached(params, "batched")
-
-
-def decide_vectorized_worker(params):
-    return _decide_cached(params, "vectorized")
+    return _decide_cached(params)
 
 
 def decide_minimized_worker(params):
-    return _decide_cached(params, "batched", minimize=True)
-
-
-def count_naive_worker(params):
-    formula, variables = _count_formula()
-    automaton = compile_formula(formula, variables)  # cold per point
-    out = count_pipeline(
-        automaton, _graph(params), params["d"], engine="naive",
-        minimize=False,
-    )
-    return {"verdict": out.count, "rounds": out.total_rounds}
+    return _decide_cached(params, minimize=True)
 
 
 def count_batched_worker(params):
-    return _count_cached(params, "batched")
-
-
-def count_vectorized_worker(params):
-    return _count_cached(params, "vectorized")
+    return _count_cached(params)
 
 
 def count_minimized_worker(params):
-    return _count_cached(params, "batched", minimize=True)
+    return _count_cached(params, minimize=True)
 
 
 def _minimize_stats(name, d):
@@ -166,25 +126,18 @@ def _minimize_stats(name, d):
 
 
 EXPERIMENTS = {
-    "E1": (decide_naive_worker, decide_batched_worker,
-           decide_vectorized_worker, decide_minimized_worker),
-    "E6": (count_naive_worker, count_batched_worker,
-           count_vectorized_worker, count_minimized_worker),
+    "E1": (decide_batched_worker, decide_minimized_worker),
+    "E6": (count_batched_worker, count_minimized_worker),
 }
 
-#: Minimum batched-over-vectorized speedup per experiment (full mode).
-#: E6's counting joins are merge-dominated — the dense-table kernel must
-#: deliver; E1 is elimination-bound, so the bar is parity minus a 10%
-#: timing-noise margin (single-CPU runs land between 0.99x and 1.1x).
-VECTORIZED_THRESHOLDS = {"E1": 0.9, "E6": 3.0}
-#: In smoke mode (tiny grid, one repeat) only guard against the kernel
-#: being meaningfully slower; absolute times are sub-millisecond noise.
-VECTORIZED_SMOKE_THRESHOLD = 0.8
 #: Minimum batched-over-minimized speedup (full mode).  E6's
 #: triangle-assignment kernel collapses ~74% of its reachable states, so
 #: minimization must pay for its canonicalization lookups several times
-#: over; E1's h-freeness kernel is already small, so parity suffices.
+#: over; E1's h-freeness kernel is already small, so parity minus a 10%
+#: timing-noise margin suffices.
 MINIMIZED_THRESHOLDS = {"E1": 0.9, "E6": 1.5}
+#: In smoke mode (tiny grid, one repeat) only guard against minimization
+#: being meaningfully slower; absolute times are sub-millisecond noise.
 MINIMIZED_SMOKE_THRESHOLD = 0.8
 #: Minimum reachable-to-minimized state reduction (full mode, E6).
 REDUCTION_THRESHOLD = 0.30
@@ -207,35 +160,20 @@ def _timed_sweep(worker, grid, repeats):
 
 
 def run_experiment(name, grid, repeats):
-    (naive_worker, batched_worker,
-     vectorized_worker, minimized_worker) = EXPERIMENTS[name]
-    # Pre-warm the cache: one compile + one throwaway run per engine,
+    batched_worker, minimized_worker = EXPERIMENTS[name]
+    # Pre-warm the cache: one compile + one throwaway run per mode,
     # exactly what a prior process would have left on disk (the
-    # vectorized warm-up also populates the kernel's dense tables, the
     # minimized warm-up additionally memoizes the quotient map).
     _timed_sweep(batched_worker, grid[:1], 1)
-    _timed_sweep(vectorized_worker, grid[:1], 1)
     _timed_sweep(minimized_worker, grid[:1], 1)
-    naive_seconds, naive_results = _timed_sweep(naive_worker, grid, repeats)
     batched_seconds, batched_results = _timed_sweep(
         batched_worker, grid, repeats
-    )
-    vectorized_seconds, vectorized_results = _timed_sweep(
-        vectorized_worker, grid, repeats
     )
     minimized_seconds, minimized_results = _timed_sweep(
         minimized_worker, grid, repeats
     )
-    for mode, results in (("batched", batched_results),
-                          ("vectorized", vectorized_results)):
-        for a, b in zip(naive_results, results):
-            if a.value != b.value:
-                raise SystemExit(
-                    f"{name}: {mode} mode changed the answer at "
-                    f"{a.shard.params!r}: {a.value!r} != {b.value!r}"
-                )
     # Minimization changes the transcript (rounds), never the answer.
-    for a, b in zip(naive_results, minimized_results):
+    for a, b in zip(batched_results, minimized_results):
         if a.value["verdict"] != b.value["verdict"]:
             raise SystemExit(
                 f"{name}: minimized mode changed the answer at "
@@ -246,14 +184,8 @@ def run_experiment(name, grid, repeats):
     return {
         "grid": [dict(point) for point in grid],
         "repeats": repeats,
-        "naive_seconds": round(naive_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),
-        "vectorized_seconds": round(vectorized_seconds, 4),
         "minimized_seconds": round(minimized_seconds, 4),
-        "speedup": round(naive_seconds / batched_seconds, 2),
-        "vectorized_speedup": round(
-            batched_seconds / vectorized_seconds, 2
-        ),
         "minimized_speedup": round(
             batched_seconds / minimized_seconds, 2
         ),
@@ -261,7 +193,7 @@ def run_experiment(name, grid, repeats):
         "states_reachable": stats.states_reachable if stats else 0,
         "states_minimized": stats.states_minimized if stats else 0,
         "state_reduction": round(stats.reduction, 4) if stats else 0.0,
-        "checks": [r.value for r in naive_results],
+        "checks": [r.value for r in batched_results],
     }
 
 
@@ -276,18 +208,12 @@ def main(argv=None):
                              "BENCH_engine.json at the repo root)")
     args = parser.parse_args(argv)
 
-    threshold = 1.0 if args.smoke else 1.5
     repeats = args.repeats or (1 if args.smoke else 3)
     grid = _grid(args.smoke)
 
     report = {
         "benchmark": "engine",
         "mode": "smoke" if args.smoke else "full",
-        "threshold_speedup": threshold,
-        "threshold_vectorized": (
-            VECTORIZED_SMOKE_THRESHOLD if args.smoke
-            else dict(VECTORIZED_THRESHOLDS)
-        ),
         "threshold_minimized": (
             MINIMIZED_SMOKE_THRESHOLD if args.smoke
             else dict(MINIMIZED_THRESHOLDS)
@@ -298,17 +224,11 @@ def main(argv=None):
     for name in EXPERIMENTS:
         result = run_experiment(name, grid, repeats)
         report["experiments"][name] = result
-        vec_threshold = (
-            VECTORIZED_SMOKE_THRESHOLD if args.smoke
-            else VECTORIZED_THRESHOLDS[name]
-        )
         min_threshold = (
             MINIMIZED_SMOKE_THRESHOLD if args.smoke
             else MINIMIZED_THRESHOLDS[name]
         )
-        slow = (result["speedup"] < threshold
-                or result["vectorized_speedup"] < vec_threshold
-                or result["minimized_speedup"] < min_threshold)
+        slow = result["minimized_speedup"] < min_threshold
         # The state-heavy counting experiment must also actually shrink.
         if (name == "E6" and not args.smoke
                 and result["state_reduction"] < REDUCTION_THRESHOLD):
@@ -316,12 +236,7 @@ def main(argv=None):
         if slow:
             failed.append(name)
         status = "SLOW" if slow else "ok"
-        print(f"{name}: naive {result['naive_seconds']}s, "
-              f"batched {result['batched_seconds']}s "
-              f"(speedup {result['speedup']}x, need >= {threshold}x), "
-              f"vectorized {result['vectorized_seconds']}s "
-              f"(speedup {result['vectorized_speedup']}x, need >= "
-              f"{vec_threshold}x), "
+        print(f"{name}: batched {result['batched_seconds']}s, "
               f"minimized {result['minimized_seconds']}s "
               f"(speedup {result['minimized_speedup']}x, need >= "
               f"{min_threshold}x; states "

@@ -47,7 +47,6 @@ from .engine import (
     optimize,
     run_states,
 )
-from .tables import TabulatedAutomaton, tabulated
 from .symbols import (
     BaseStructure,
     BaseSymbol,
@@ -70,11 +69,10 @@ __all__ = [
     "MinimizationBudget", "MinimizationStats", "MinimizedAutomaton",
     "OptimizationResult", "ProductAutomaton", "ProjectionAutomaton",
     "SingletonAutomaton", "State", "SubsetAutomaton", "SymbolChoice",
-    "TabulatedAutomaton", "TreeAutomaton", "base_structure", "check",
+    "TreeAutomaton", "base_structure", "check",
     "check_assignment",
     "compile_formula", "count", "enumerate_symbol_choices", "extend_symbol",
     "graph_label_alphabet", "minimization_stats", "minimize_automaton",
     "minimized_automaton",
     "optimize", "owned_items", "run_states", "symbol_for_assignment",
-    "tabulated",
 ]

@@ -43,12 +43,14 @@ from .automata import TreeAutomaton
 from .compiler import compile_formula, compile_with_singletons
 
 #: Bump to invalidate every on-disk entry after a format/semantics change.
-#: 2: entries may carry a pickled TabulatedAutomaton kernel (see
-#: :mod:`repro.algebra.tables`) riding on the automaton.
+#: 2: entries may carry a pickled TabulatedAutomaton kernel (the integer
+#: tables of the since-removed ``vectorized`` engine) riding on the automaton.
 #: 3: entries may carry minimized-kernel wrappers (quotient maps plus
 #: before/after state counts, see :mod:`repro.algebra.minimize`) keyed
 #: per ``(d, labels)`` on the automaton; memoized budget fallbacks ride
 #: along so a failed closure is never retried in a later process.
+#: Entries that still carry a pickled TabulatedAutomaton kernel no longer
+#: unpickle (its module is gone); they load as misses and are rewritten.
 CACHE_VERSION = 3
 
 __all__ = [
@@ -219,13 +221,10 @@ def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
 def _table_entries(automaton: TreeAutomaton) -> int:
     """Total materialized table entries (a cheap warm-ness measure).
 
-    Includes the dense integer tables of an attached
-    :class:`~repro.algebra.tables.TabulatedAutomaton` kernel (stored on
-    the automaton by :func:`~repro.algebra.tables.tabulated`) and the
-    quotient maps / op caches of any minimized variants (stored by
-    :func:`~repro.algebra.minimize.minimized_automaton`), so
-    ``save_warm`` re-persists entries whose *kernel* warmed even when the
-    state-level caches did not grow.  Memoized minimization fallbacks
+    Includes the quotient maps / op caches of any minimized variants
+    (stored by :func:`~repro.algebra.minimize.minimized_automaton`), so
+    ``save_warm`` re-persists entries whose *minimized variant* warmed
+    even when the raw caches did not grow.  Memoized minimization fallbacks
     count as one entry each — persisting them is what stops the next
     process from re-running a doomed closure.
     """
@@ -239,16 +238,12 @@ def _table_entries(automaton: TreeAutomaton) -> int:
             + len(aut._intern)
         )
 
-    def kernel(aut: TreeAutomaton) -> int:
-        wrapper = getattr(aut, "_tabulated_wrapper", None)
-        return wrapper.table_entries() if wrapper is not None else 0
-
     for component in _component_automata(automaton):
-        total += op_caches(component) + kernel(component)
+        total += op_caches(component)
         for minimized in getattr(component, "_minimized_variants", {}).values():
             total += 1  # the memoized variant itself (None = fallback)
             if minimized is not None:
-                total += op_caches(minimized) + kernel(minimized)
+                total += op_caches(minimized)
                 total += sum(
                     len(table) for table in minimized._quotient.values()
                 )

@@ -25,7 +25,6 @@ from ..obs.profile import profiled
 from ..treedepth import EliminationForest
 from .automata import State, TreeAutomaton
 from .compiler import compile_formula
-from .tables import TabulatedAutomaton
 from .symbols import (
     BaseStructure,
     SymbolChoice,
@@ -55,8 +54,6 @@ def run_states(
     if graph.num_vertices() == 0:
         raise ReproError("the algebra run needs at least one vertex")
     assignment = assignment or {}
-    if isinstance(automaton, TabulatedAutomaton):
-        return _run_states_tabulated(automaton, graph, forest, assignment)
     with profiled("algebra.run_states"):
         state_after: Dict[Vertex, State] = {}
         for v in forest.bottom_up_order():
@@ -76,35 +73,6 @@ def run_states(
             total = s if total is None else automaton.glue(0, total, s)
         assert total is not None
         return total
-
-
-def _run_states_tabulated(
-    automaton: TabulatedAutomaton,
-    graph: Graph,
-    forest: EliminationForest,
-    assignment: Dict[sx.Var, Any],
-) -> State:
-    """Integer-id bottom-up run; whole nodes memoize via ``fold_decide``."""
-    with profiled("algebra.run_states"):
-        id_after: Dict[Vertex, int] = {}
-        for v in forest.bottom_up_order():
-            k = forest.depth_of(v)
-            structure = base_structure(graph, forest, v)
-            vertex_item, edge_items = owned_items(graph, forest, v)
-            symbol = symbol_for_assignment(
-                structure, automaton.scope, vertex_item, edge_items, assignment
-            )
-            id_after[v] = automaton.fold_decide(
-                k,
-                automaton.leaf_id(symbol),
-                tuple(id_after.pop(child) for child in forest.children(v)),
-            )
-        total: Optional[int] = None
-        for root in forest.roots():
-            sid = id_after.pop(root)
-            total = sid if total is None else automaton.glue_id(0, total, sid)
-        assert total is not None
-        return automaton.state_of(total)
 
 
 def check(
@@ -324,8 +292,6 @@ def count(
         from .compiler import compile_with_singletons
 
         automaton = compile_with_singletons(formula, scope)
-    if isinstance(automaton, TabulatedAutomaton):
-        return _count_tabulated(automaton, graph, forest, scope)
 
     tables: Dict[Vertex, Dict[State, int]] = {}
     with profiled("algebra.count.tables"):
@@ -364,37 +330,3 @@ def count(
         combined = nxt
     return sum(c for s, c in combined.items() if automaton.accepts(s))
 
-
-def _count_tabulated(
-    automaton: TabulatedAutomaton,
-    graph: Graph,
-    forest: EliminationForest,
-    scope: Tuple[sx.Var, ...],
-) -> int:
-    """Integer-id COUNT run through the kernel's digest-memoized joins.
-
-    Counts stay Python big-ints (they routinely exceed ``int64``); the
-    kernel only vectorizes state identity.
-    """
-    tables: Dict[Vertex, Tuple[Tuple[int, int], ...]] = {}
-    with profiled("algebra.count.tables"):
-        for v in forest.bottom_up_order():
-            k = forest.depth_of(v)
-            structure = base_structure(graph, forest, v)
-            vertex_item, edge_items = owned_items(graph, forest, v)
-            leaf: Dict[int, int] = {}
-            for choice in enumerate_symbol_choices(
-                structure, scope, vertex_item, edge_items
-            ):
-                sid = automaton.leaf_id(choice.symbol)
-                leaf[sid] = leaf.get(sid, 0) + 1
-            table = tuple(leaf.items())
-            for child in forest.children(v):
-                table = automaton.merge_counts(k, table, tables.pop(child))
-            tables[v] = automaton.fold_forget_counts(k, table)
-
-    roots = forest.roots()
-    combined = tables[roots[0]]
-    for root in roots[1:]:
-        combined = automaton.merge_counts(0, combined, tables[root])
-    return sum(c for sid, c in combined if automaton.accepts_id(sid))

@@ -34,12 +34,9 @@ interchangeable.  This module applies the classic two-pass collapse:
    preserves verdicts, counts, optima and witnesses.
 
 The result is a :class:`MinimizedAutomaton` wrapper whose transitions
-are ``canon(inner.op(...))``; wrapping it in the
-:class:`~repro.algebra.tables.TabulatedAutomaton` kernel yields dense
-tables over class representatives only.  All engines share one wrapper
-per ``(d, labels)`` (memoized on the compiled automaton, so it rides
-:class:`~repro.algebra.cache.AutomatonCache` persistence), which keeps
-the CONGEST transcripts byte-identical across engines.
+are ``canon(inner.op(...))``.  Every run shares one wrapper per
+``(d, labels)``, memoized on the compiled automaton, so it rides
+:class:`~repro.algebra.cache.AutomatonCache` persistence.
 
 **Soundness is depth-bounded.**  The closure covers boundary levels
 ``0..d`` only, so the quotient is a congruence exactly for runs whose
@@ -609,7 +606,7 @@ def minimized_automaton(
     """The memoized wrapper for ``(automaton, d, labels)``.
 
     The wrapper is stored on the compiled automaton itself, so it is
-    shared by every engine/run using the same cache entry and rides
+    shared by every run using the same cache entry and rides
     :class:`~repro.algebra.cache.AutomatonCache` pickling.  A budget
     fallback is memoized too (as ``None``) — the expensive failed
     closure is not retried on every run.

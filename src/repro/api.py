@@ -20,8 +20,8 @@ Every workload returns the same frozen :class:`Result`, whose
 
 A session compiles formulas through the process-wide
 :class:`~repro.algebra.cache.AutomatonCache` (transition tables and class
-ids persist across processes) and runs protocols on the batched engine by
-default — both differentially identical to the cold, naive baseline.
+ids persist across processes) and runs every protocol on the one round
+scheduler of :class:`repro.congest.Simulation`.
 The legacy PR-4 entry points (``repro.distributed.decide``,
 ``optimize_distributed``, ``count_distributed``) are gone; every caller
 goes through a Session or a ``*_pipeline`` function.
@@ -67,7 +67,8 @@ class Result:
 
     ``replay_args`` are :class:`Session` keyword arguments:
     ``Session(graph, d, **result.replay_args)`` re-runs the same schedule,
-    faults, retry policy, and engine, reproducing the run exactly.
+    faults, retry policy and minimization setting, reproducing the run
+    exactly.
 
     ``cache_hits`` / ``cache_misses`` are the
     :class:`~repro.algebra.cache.AutomatonCache` deltas attributable to
@@ -143,7 +144,7 @@ class _Observation:
             formula=str(formula),
             graph=session.graph,
             d=session.d,
-            engine=session.engine,
+            engine=session.config.engine,
             verdict=fields.get("verdict"),
             treedepth_exceeded=fields.get("treedepth_exceeded", False),
             value=fields.get("value"),
@@ -197,13 +198,10 @@ class Session:
         :class:`repro.congest.Simulation`).
     budget:
         Per-edge per-round bit budget override (default O(log n)).
-    engine:
-        ``"batched"`` (default) or ``"naive"`` — differentially identical
-        schedulers; batched is the fast one.
     minimize:
         ``False`` opts out of the kernel state-space reduction passes
         (:mod:`repro.algebra.minimize`).  The default ``None`` applies
-        them on every engine; when they succeed the per-workload
+        them; when they succeed the per-workload
         :class:`~repro.obs.reports.RunReport` carries the before/after
         state counts.
     cache:
@@ -229,7 +227,6 @@ class Session:
         seed: Optional[int] = None,
         inbox_order: Optional[str] = None,
         budget: Optional[int] = None,
-        engine: Optional[str] = None,
         minimize: Optional[bool] = None,
         cache: Optional[AutomatonCache] = None,
         record: Union[bool, str, None] = False,
@@ -243,7 +240,6 @@ class Session:
             seed=seed,
             inbox_order=inbox_order,
             budget=budget,
-            engine=engine,
             minimize=minimize,
             cache=cache,
         )
@@ -254,7 +250,6 @@ class Session:
         self.seed = self.config.seed
         self.inbox_order = self.config.inbox_order
         self.budget = self.config.budget
-        self.engine = self.config.engine
         self.minimize = self.config.minimize
         self.cache = (
             self.config.cache if self.config.cache is not None
@@ -484,8 +479,7 @@ class Session:
         with self._observe("certify") as obs:
             automaton, _codec = self._compiled(phi, ())
             instance = prove(self.graph, automaton)
-            audit = verify(self.graph, automaton, instance,
-                           engine=self.engine)
+            audit = verify(self.graph, automaton, instance)
             self.cache.save_warm()
             return obs.result(
                 phi,

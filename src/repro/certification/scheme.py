@@ -209,7 +209,6 @@ def verify(
     graph: Graph,
     automaton: TreeAutomaton,
     instance: CertifiedInstance,
-    engine: str = "naive",
 ) -> VerificationResult:
     """Run the 1-round verifier on the given certificate assignment.
 
@@ -241,7 +240,6 @@ def verify(
         inputs=inputs,
         budget=budget,
         max_rounds=10,
-        engine=engine,
     )
     rejecting = tuple(sorted(v for v, ok in result.outputs.items() if not ok))
     return VerificationResult(

@@ -168,8 +168,7 @@ def _session(graph: Graph, args: argparse.Namespace, **kwargs) -> Session:
         with open(config_path) as handle:
             config = RunConfig.from_json(json.load(handle))
         return Session(graph, args.d, config=config, **kwargs)
-    engine = getattr(args, "engine", None)
-    return Session(graph, args.d, engine=engine or "batched", **kwargs)
+    return Session(graph, args.d, **kwargs)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -641,15 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the distributed protocol instead of Algorithm 1")
         p.add_argument("--d", type=int, default=3,
                        help="treedepth promise for CONGEST runs (default 3)")
-        p.add_argument("--engine", choices=["batched", "naive", "vectorized"],
-                       default=None,
-                       help="execution engine for CONGEST runs "
-                       "(differentially identical; vectorized is the fast "
-                       "one — see docs/engines.md)")
         p.add_argument("--config", metavar="FILE", default=None,
                        help="JSON RunConfig replay file (seed/inbox_order/"
-                       "engine/faults/retry/budget); mutually exclusive "
-                       "with --engine")
+                       "faults/retry/budget/minimize)")
         p.add_argument("--record", nargs="?", const=True, default=False,
                        metavar="DIR",
                        help="persist the RunReport to the run store "
@@ -746,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 = no reliability layer)")
     p_faults.add_argument("--d", type=int, default=3,
                           help="treedepth promise (default 3)")
-    p_faults.add_argument("--engine", choices=["batched", "naive", "vectorized"],
-                          default="batched",
-                          help="execution engine (differentially identical)")
     p_faults.add_argument("--seed", type=int, default=None,
                           help="inbox-order seed for the simulator")
     p_faults.add_argument("--catalog", default="triangle-free",
@@ -765,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the metamorphic conformance harness",
         description="Generates seeded conformance cases and checks the "
         "CONGEST pipeline against sequential semantics (differential "
-        "matrix over engines, inbox orders, and fault plans, plus "
+        "matrix over inbox orders and fault plans, plus "
         "metamorphic relations).  Failing cases are shrunk and written "
         "to the corpus as content-addressed replay files.  Exit codes "
         "mirror `repro faults`: 0 conformant, 1 discrepancies, 2 "

@@ -17,7 +17,6 @@ from .primitives import (
 from .parallel import Shard, ShardResult, merge_metrics, run_sweep, shard_seed
 from .registry import iter_registered, node_program, registered_programs
 from .runtime import (
-    ENGINES,
     INBOX_ORDERS,
     Inbox,
     NodeContext,
@@ -29,7 +28,7 @@ from .runtime import (
 )
 
 __all__ = [
-    "ENGINES", "INBOX_ORDERS", "Inbox", "ItemCollector", "NodeContext",
+    "INBOX_ORDERS", "Inbox", "ItemCollector", "NodeContext",
     "NodeProgram", "Payload", "RoundMetrics", "Shard", "ShardResult",
     "Simulation", "SimulationResult", "broadcast_from_root", "check_payload",
     "default_budget", "exchange_with_neighbors", "flood_value",

@@ -55,21 +55,12 @@ class RoundMetrics:
     def total_faults(self) -> int:
         return sum(self.faults_injected.values())
 
-    def record_message(self, bits: int) -> None:
-        self.total_messages += 1
-        self.total_bits += bits
-        self.max_message_bits = max(self.max_message_bits, bits)
-        if self.per_round_messages:
-            self.per_round_messages[-1] += 1
-            self.per_round_bits[-1] += bits
-
     def record_message_batch(self, count: int, bits: int, max_bits: int) -> None:
         """Fold one round's accumulated message counters in at once.
 
-        Used by the batched engine (array-backed accumulation): ``count``
+        Used by the round scheduler (array-backed accumulation): ``count``
         messages totalling ``bits`` bits, the largest being ``max_bits``,
-        all sent in the current round.  The resulting metrics state is
-        identical to ``count`` individual :meth:`record_message` calls.
+        all sent in the current round.
         """
         self.total_messages += count
         self.total_bits += bits

@@ -32,7 +32,6 @@ from ..errors import (
     FaultToleranceExceeded,
     MessageTooLargeError,
     ProtocolError,
-    UnknownEngineError,
 )
 from ..graph import Graph, Vertex
 from ..obs import NULL_SPAN, Tracer, current_tracer
@@ -146,24 +145,17 @@ class SimulationResult:
     inbox_order: str = "arrival"
     fault_plan: Optional[Any] = None
     crashed: Dict[Vertex, int] = field(default_factory=dict)
-    engine: str = "naive"
 
     @property
     def rounds(self) -> int:
         return self.metrics.rounds
 
     def replay_args(self) -> Dict[str, Any]:
-        """Keyword arguments reproducing this run's schedule and faults.
-
-        Includes ``engine``: a replay must use the scheduler of the
-        original run — the engines are differentially identical, but a
-        replay that silently switched scheduler would not be a replay.
-        """
+        """Keyword arguments reproducing this run's schedule and faults."""
         return {
             "seed": self.seed,
             "inbox_order": self.inbox_order,
             "faults": self.fault_plan,
-            "engine": self.engine,
         }
 
     @property
@@ -189,9 +181,6 @@ class SimulationResult:
 #: Accepted inbox delivery orders (see :class:`Simulation`).
 INBOX_ORDERS = ("arrival", "shuffle", "sorted", "reversed")
 
-#: Accepted round schedulers (see :class:`Simulation`).
-ENGINES = ("naive", "batched", "vectorized")
-
 
 class Simulation:
     """One synchronous execution of a node program on a network graph.
@@ -215,21 +204,10 @@ class Simulation:
     ``metrics.faults_injected`` and emitted as a typed trace event.  A null
     plan (all rates zero, no crashes) is byte-for-byte transparent.
 
-    ``engine`` selects the round scheduler:
-
-    * ``"naive"`` (default) — the historical reference loop: per-round
-      ``sorted()`` scheduling, fresh inbox dicts, per-message metric
-      updates;
-    * ``"batched"`` — a single dispatch loop that advances all runnable
-      programs through preallocated per-node inbox buffers, memoizes
-      payload bit-measurement (payloads are hashable by construction),
-      caches adjacency sets, and flushes message metrics once per round
-      instead of once per message.  The observable execution — outputs,
-      trace events, metrics, round/message/bit counts — is byte-identical
-      to ``"naive"``; only the wall clock differs.  Because inbox buffers
-      are reused, a node program must not retain its inbox dict across
-      ``yield`` boundaries (none of the shipped protocols do; the
-      ``repro lint`` rules already discourage it).
+    There is one round scheduler (:meth:`_run_rounds`).  It reuses
+    per-node inbox buffers across rounds, so a node program must not
+    retain its inbox dict across ``yield`` boundaries (none of the
+    shipped protocols do; the ``repro lint`` rules already discourage it).
     """
 
     def __init__(
@@ -245,7 +223,6 @@ class Simulation:
         inbox_order: str = "arrival",
         seed: Optional[int] = None,
         faults: Optional[Any] = None,
-        engine: str = "naive",
     ):
         if graph.num_vertices() == 0:
             raise CongestError("CONGEST needs at least one node")
@@ -253,8 +230,6 @@ class Simulation:
             raise CongestError(
                 f"unknown inbox_order {inbox_order!r}; choose from {INBOX_ORDERS}"
             )
-        if engine not in ENGINES:
-            raise UnknownEngineError(engine, ENGINES)
         self._graph = graph
         self._program = program
         self._inputs = inputs or {}
@@ -282,12 +257,7 @@ class Simulation:
         # Explicit tracer wins; otherwise pick up a process-installed one
         # (the REPRO_TRACE / ``repro trace`` path).  None = fully disabled.
         self.tracer = tracer if tracer is not None else current_tracer()
-        self.engine = engine
-        # "vectorized" changes only node-local automaton compute (see
-        # repro.algebra.tables); at the CONGEST layer it IS the batched
-        # scheduler, which is what keeps the two engines byte-identical.
-        self._batched = engine in ("batched", "vectorized")
-        # Batched-engine kernels: payload-size memo (payloads are hashable
+        # Scheduler state: payload-size memo (payloads are hashable
         # algebraic values), cached adjacency sets, and per-round message
         # accumulators flushed into the metrics arrays once per round.
         self._bits_memo: Dict[Payload, int] = {}
@@ -297,42 +267,12 @@ class Simulation:
         self._acc_max = 0
 
     # -- internal -------------------------------------------------------
-    def _queue_message(self, sender: Vertex, receiver: Vertex, payload: Payload) -> None:
-        if not self._sending_open:
-            raise CongestError("send outside of a round")
-        if self._batched:
-            self._queue_message_batched(sender, receiver, payload)
-            return
-        if not self._graph.has_edge(sender, receiver):
-            raise CongestError(f"{sender!r} is not adjacent to {receiver!r}")
-        key = (sender, receiver)
-        if key in self._outgoing:
-            raise CongestError(
-                f"node {sender!r} already sent to {receiver!r} this round"
-            )
-        bits = payload_bits(payload)
-        if bits > self._round_budget:
-            raise MessageTooLargeError(bits, self._round_budget)
-        self._outgoing[key] = payload
-        self.metrics.record_message(bits)
-        if self.tracer is not None:
-            self.tracer.on_send(sender, receiver, bits, payload)
-        if self._trace_enabled:
-            if len(self.trace) < self._trace_limit:
-                self.trace.append(
-                    (self.metrics.rounds, sender, receiver, payload)
-                )
-            else:
-                self.metrics.trace_truncated = True
-
-    def _queue_message_batched(
+    def _queue_message(
         self, sender: Vertex, receiver: Vertex, payload: Payload
     ) -> None:
-        """Fast-path send: memoized sizes, cached adjacency, batched metrics.
-
-        Raises exactly the same errors with exactly the same messages as
-        the naive path; the only difference is where the cycles go.
-        """
+        """Queue one send: memoized sizes, cached adjacency, batched metrics."""
+        if not self._sending_open:
+            raise CongestError("send outside of a round")
         if receiver not in self._adjacency[sender]:
             raise CongestError(f"{sender!r} is not adjacent to {receiver!r}")
         key = (sender, receiver)
@@ -370,7 +310,7 @@ class Simulation:
                 self.metrics.trace_truncated = True
 
     def _flush_round_metrics(self) -> None:
-        """Fold the batched engine's per-round accumulators into metrics."""
+        """Fold the per-round message accumulators into metrics."""
         if self._acc_msgs:
             self.metrics.record_message_batch(
                 self._acc_msgs, self._acc_bits, self._acc_max
@@ -432,129 +372,7 @@ class Simulation:
                 "(metrics and node state would otherwise double-count)"
             )
         self._ran = True
-        if self._batched:
-            return self._run_batched()
-        return self._run_naive()
-
-    def _run_naive(self) -> SimulationResult:
-        n = self._graph.num_vertices()
-        contexts = {
-            v: NodeContext(
-                node=v,
-                neighbors=self._graph.neighbors(v),
-                n=n,
-                input_data=dict(self._inputs.get(v, {})),
-                simulation=self,
-            )
-            for v in self._graph.vertices()
-        }
-        generators: Dict[Vertex, Generator[None, Inbox, Any]] = {}
-        outputs: Dict[Vertex, Any] = {}
-
-        tracer = self.tracer
-        injector = self._injector
-
-        # Round 1: local computation + first sends.
-        self.metrics.record_round()
-        if tracer is not None:
-            tracer.on_round_start()
-        if injector is not None:
-            for node in injector.crashes_at(1):
-                self.crashed[node] = 1
-                injector.note_crash(1, node, self.metrics, tracer)
-            self._round_budget = injector.budget_for(
-                1, self.metrics.budget_bits, self.metrics, tracer
-            )
-        self._sending_open = True
-        for v in self._graph.vertices():
-            if v in self.crashed:
-                continue
-            gen = self._program(contexts[v])
-            try:
-                next(gen)
-                generators[v] = gen
-            except StopIteration as stop:
-                outputs[v] = stop.value
-                if tracer is not None:
-                    tracer.on_halt(v, stop.value)
-        self._sending_open = False
-
-        while generators or self._has_pending_restart():
-            if self.metrics.rounds >= self._max_rounds:
-                if injector is not None and self.metrics.total_faults > 0:
-                    raise FaultToleranceExceeded(
-                        f"exceeded max_rounds={self._max_rounds} under fault "
-                        "injection; the protocol did not terminate within "
-                        "its tolerance envelope",
-                        round=self.metrics.rounds,
-                    )
-                raise ProtocolError(
-                    f"exceeded max_rounds={self._max_rounds}; "
-                    "protocol is not terminating"
-                )
-            delivery = self._outgoing
-            self._outgoing = {}
-            self.metrics.record_round()
-            rnd = self.metrics.rounds
-            if tracer is not None:
-                tracer.on_round_start()
-
-            restarted: List[Vertex] = []
-            if injector is not None:
-                self._apply_crashes(rnd, generators)
-                restarted.extend(self._apply_restarts(rnd))
-                self._round_budget = injector.budget_for(
-                    rnd, self.metrics.budget_bits, self.metrics, tracer
-                )
-                items: List[Tuple[Tuple[Vertex, Vertex], Payload]] = []
-                for (sender, receiver), payload in delivery.items():
-                    if receiver in self.crashed:
-                        injector.drop_for_crashed(
-                            rnd, sender, receiver, payload, self.metrics,
-                            tracer,
-                        )
-                        continue
-                    items.append(((sender, receiver), payload))
-                survivors = injector.process(rnd, items, self.metrics, tracer)
-            else:
-                survivors = [
-                    (sender, receiver, payload)
-                    for (sender, receiver), payload in delivery.items()
-                ]
-            by_receiver: Dict[Vertex, Inbox] = {}
-            for sender, receiver, payload in survivors:
-                by_receiver.setdefault(receiver, {})[sender] = payload
-            if tracer is not None:
-                for sender, receiver, payload in survivors:
-                    tracer.on_deliver(sender, receiver, payload_bits(payload))
-
-            self._sending_open = True
-            for v in restarted:
-                gen = self._program(contexts[v])
-                try:
-                    next(gen)
-                    generators[v] = gen
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    if tracer is not None:
-                        tracer.on_halt(v, stop.value)
-            for v in sorted(generators):
-                if v in restarted:
-                    continue  # a rebooted program starts fresh this round
-                inbox: Inbox = self._arrange_inbox(by_receiver.get(v, {}))
-                gen = generators[v]
-                try:
-                    gen.send(inbox)
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    del generators[v]
-                    if tracer is not None:
-                        tracer.on_halt(v, stop.value)
-            self._sending_open = False
-            if not self._outgoing and not generators \
-                    and not self._has_pending_restart():
-                break
-        return self._finish(outputs)
+        return self._run_rounds()
 
     def _finish(self, outputs: Dict[Vertex, Any]) -> SimulationResult:
         # Messages queued in the sweep where the last generators halted
@@ -567,7 +385,7 @@ class Simulation:
             self.metrics.undelivered_messages += self._injector.pending_copies
         if self.tracer is not None:
             self.tracer.finish()
-        note_simulation(self.metrics, engine=self.engine)
+        note_simulation(self.metrics)
         return SimulationResult(
             outputs=outputs,
             metrics=self.metrics,
@@ -575,18 +393,13 @@ class Simulation:
             inbox_order=self._inbox_order,
             fault_plan=self._fault_plan,
             crashed=dict(self.crashed),
-            engine=self.engine,
         )
 
-    def _run_batched(self) -> SimulationResult:
-        """The batched round scheduler (``engine="batched"``).
+    def _run_rounds(self) -> SimulationResult:
+        """The round scheduler: one dispatch loop per round.
 
-        One dispatch loop advances every runnable program per round.  The
-        hot-path differences from :meth:`_run_naive` — and nothing else:
-
-        * the scheduling order is a cached sorted snapshot, re-sorted only
-          when membership changes (halt / crash / restart) instead of every
-          round;
+        * nodes are stepped in sorted order, from a cached snapshot
+          re-sorted only when membership changes (halt / crash / restart);
         * inboxes are preallocated per-node buffers, cleared and refilled
           in place instead of allocated per round;
         * payload sizes come from a memo table (payloads are hashable
@@ -595,9 +408,8 @@ class Simulation:
         * message metrics accumulate in plain counters and are flushed
           into the per-round arrays once per round.
 
-        Every observable artifact (outputs, metrics, trace, tracer events,
-        errors) is byte-identical to the naive engine; the differential
-        test in ``tests/test_engine_batched.py`` pins this.
+        ``tests/golden/signatures.json`` pins the rounds, messages and
+        payload bits this loop produces for every shipped workload.
         """
         graph = self._graph
         n = graph.num_vertices()
@@ -628,7 +440,7 @@ class Simulation:
         inboxes: Dict[Vertex, Inbox] = {v: {} for v in graph.vertices()}
         touched: List[Vertex] = []
 
-        # Round 1: local computation + first sends (same as naive).
+        # Round 1: local computation + first sends.
         metrics.record_round()
         if tracer is not None:
             tracer.on_round_start()
@@ -767,11 +579,9 @@ def run_protocol(
     inbox_order: str = "arrival",
     seed: Optional[int] = None,
     faults: Optional[Any] = None,
-    engine: str = "naive",
 ) -> SimulationResult:
     """Convenience wrapper: build a Simulation and run it."""
     return Simulation(
         graph, program, inputs=inputs, budget=budget, max_rounds=max_rounds,
         tracer=tracer, inbox_order=inbox_order, seed=seed, faults=faults,
-        engine=engine,
     ).run()

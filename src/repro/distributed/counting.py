@@ -16,7 +16,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import enumerate_symbol_choices
-from ..algebra.tables import TabulatedAutomaton
 from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
@@ -24,9 +23,7 @@ from ..obs import Tracer, maybe_phase
 from ..runconfig import RunConfig
 from .elimination import build_elimination_tree
 from .model_checking import (
-    PIPELINE_DEFAULTS,
     ClassCodec,
-    _IdCodec,
     elimination_forest_depth,
     engine_automaton,
     graph_label_alphabet,
@@ -57,17 +54,7 @@ def _digits_to_count(digits: List[int]) -> int:
 
 
 def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
-    """Node program factory for the counting convergecast.
-
-    With a :class:`TabulatedAutomaton` (``engine="vectorized"``) the
-    COUNT tables are kept as integer-id pairs and merged through the
-    kernel's digest-memoized :meth:`~TabulatedAutomaton.merge_counts` /
-    :meth:`~TabulatedAutomaton.fold_forget_counts` joins — identical
-    subtree merges collapse to one dictionary hit.  Counts stay Python
-    big-ints throughout; only state identity is vectorized.
-    """
-    tab = automaton if isinstance(automaton, TabulatedAutomaton) else None
-    ids = _IdCodec(tab, codec) if tab is not None else None
+    """Node program factory for the counting convergecast."""
 
     @node_program
     def program(ctx: NodeContext) -> Generator[None, Inbox, Optional[int]]:
@@ -82,18 +69,11 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]
         table: Dict[Any, int] = {}
-        if tab is not None:
-            for choice in enumerate_symbol_choices(
-                base.structure, automaton.scope, ctx.node, owned_edges
-            ):
-                sid = tab.leaf_id(choice.symbol)
-                table[sid] = table.get(sid, 0) + 1
-        else:
-            for choice in enumerate_symbol_choices(
-                base.structure, automaton.scope, ctx.node, owned_edges
-            ):
-                state = automaton.leaf(choice.symbol)
-                table[state] = table.get(state, 0) + 1
+        for choice in enumerate_symbol_choices(
+            base.structure, automaton.scope, ctx.node, owned_edges
+        ):
+            state = automaton.leaf(choice.symbol)
+            table[state] = table.get(state, 0) + 1
 
         with ctx.phase("count-streaming"):
             collector = ItemCollector("cnt", children)
@@ -109,10 +89,7 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                 digit_index = 0
                 for kind, value in collector.items_from(child):
                     if kind == 0:
-                        current_state = (
-                            ids.decode(value) if tab is not None
-                            else codec.decode(value)
-                        )
+                        current_state = codec.decode(value)
                         digit_index = 0
                     else:
                         if current_state is None:
@@ -121,35 +98,20 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                             current_state, 0
                         ) | (value << (_CHUNK_BITS * digit_index))
                         digit_index += 1
-                if tab is not None:
-                    table = dict(
-                        tab.merge_counts(
-                            depth,
-                            tuple(table.items()),
-                            tuple(child_table.items()),
-                        )
-                    )
-                else:
-                    merged: Dict[Any, int] = {}
-                    for s1, c1 in table.items():
-                        for s2, c2 in child_table.items():
-                            s = automaton.glue(depth, s1, s2)
-                            merged[s] = merged.get(s, 0) + c1 * c2
-                    table = merged
-            if tab is not None:
-                forgotten: Dict[Any, int] = dict(
-                    tab.fold_forget_counts(depth, tuple(table.items()))
-                )
-            else:
-                forgotten = {}
-                for s, c in table.items():
-                    fs = automaton.forget(depth, s)
-                    forgotten[fs] = forgotten.get(fs, 0) + c
+                merged: Dict[Any, int] = {}
+                for s1, c1 in table.items():
+                    for s2, c2 in child_table.items():
+                        s = automaton.glue(depth, s1, s2)
+                        merged[s] = merged.get(s, 0) + c1 * c2
+                table = merged
+            forgotten: Dict[Any, int] = {}
+            for s, c in table.items():
+                fs = automaton.forget(depth, s)
+                forgotten[fs] = forgotten.get(fs, 0) + c
 
             if parent is not None:
-                encode = ids.encode if tab is not None else codec.encode
-                for s in sorted(forgotten, key=encode):
-                    ctx.send(parent, ("cnt", (0, encode(s))))
+                for s in sorted(forgotten, key=codec.encode):
+                    ctx.send(parent, ("cnt", (0, codec.encode(s))))
                     yield
                     for digit in _count_to_digits(forgotten[s]):
                         ctx.send(parent, ("cnt", (1, digit)))
@@ -157,8 +119,6 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                 # Parent still yields awaiting cnt/end, so this delivers.
                 ctx.send(parent, ("cnt/end", None))  # repro: noqa[RL003]
                 return None
-        if tab is not None:
-            return sum(c for s, c in forgotten.items() if tab.accepts_id(s))
         return sum(c for s, c in forgotten.items() if automaton.accepts(s))
 
     return program
@@ -189,14 +149,13 @@ def count_pipeline(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     minimize: Optional[bool] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
 ) -> DistributedCount:
     """Run Algorithm 2 followed by the counting convergecast.
 
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` / ``engine`` have
+    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
     the same semantics as in :func:`.model_checking.decide_pipeline`; any
     crash raises :class:`~repro.errors.FaultToleranceExceeded` — a count
     over a partial network is not the count.  All knobs may instead come
@@ -206,14 +165,12 @@ def count_pipeline(
         raise ProtocolError("counting needs at least one free variable")
     cfg = RunConfig.from_kwargs(
         config,
-        defaults=PIPELINE_DEFAULTS,
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
         minimize=minimize,
         codec=codec,
     )
@@ -221,7 +178,7 @@ def count_pipeline(
     elim = build_elimination_tree(
         graph, d, budget=cfg.budget, tracer=tracer,
         inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry, engine=cfg.engine,
+        retry=cfg.retry,
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -246,7 +203,7 @@ def count_pipeline(
     forest_depth = elimination_forest_depth(elim)
     program = counting_program(
         engine_automaton(
-            automaton, cfg.engine,
+            automaton,
             minimize=cfg.minimize_enabled, d=d,
             labels=labels, forest_depth=forest_depth,
         ),
@@ -278,7 +235,6 @@ def count_pipeline(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     if result.crashed:
         raise FaultToleranceExceeded(

@@ -218,7 +218,6 @@ def build_elimination_tree(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     config=None,
 ) -> DistributedEliminationResult:
     """Run Algorithm 2 on ``graph`` with treedepth bound ``d``.
@@ -248,14 +247,12 @@ def build_elimination_tree(
         raise ProtocolError("CONGEST requires a connected network")
     cfg = RunConfig.from_kwargs(
         config,
-        defaults={"engine": "naive"},
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
     )
     tracer = resolve_tracer(cfg.trace)
     inputs = {v: {"d": d} for v in graph.vertices()}
@@ -281,7 +278,6 @@ def build_elimination_tree(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     outputs: Dict[Vertex, EliminationOutput] = result.outputs
     accepted = all(out.status == "ok" for out in outputs.values())

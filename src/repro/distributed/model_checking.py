@@ -33,7 +33,6 @@ from ..algebra.minimize import (
     minimized_automaton,
 )
 from ..algebra.symbols import BaseStructure, BaseSymbol
-from ..algebra.tables import TabulatedAutomaton, tabulated
 from ..congest import Inbox, NodeContext, default_budget, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
@@ -42,9 +41,6 @@ from ..obs import Tracer, maybe_phase
 from ..obs.registry import registry as _registry
 from ..runconfig import RunConfig, resolve_tracer
 from .elimination import DistributedEliminationResult, build_elimination_tree
-
-#: Pipelines historically default to the cold reference scheduler.
-PIPELINE_DEFAULTS = {"engine": "naive"}
 
 
 def elimination_forest_depth(elim: "DistributedEliminationResult") -> int:
@@ -59,23 +55,20 @@ def elimination_forest_depth(elim: "DistributedEliminationResult") -> int:
 
 def engine_automaton(
     automaton: TreeAutomaton,
-    engine: str,
     *,
     minimize: bool = False,
     d: Optional[int] = None,
     labels: Tuple[str, ...] = (),
     forest_depth: Optional[int] = None,
 ) -> TreeAutomaton:
-    """The automaton a node program should evaluate under ``engine``.
+    """The automaton a node program should evaluate.
 
     With ``minimize`` (and a depth bound ``d``), the state-space
-    reduction passes of :mod:`repro.algebra.minimize` are applied first:
-    every transition lands on its equivalence-class representative, so
-    all engines — and hence all CONGEST transcripts — see the same
-    canonical states and the wire format stays byte-identical across
-    engines.  A blown minimization budget silently falls back to the
-    unminimized automaton (the fallback is memoized and counted in the
-    metrics registry).
+    reduction passes of :mod:`repro.algebra.minimize` apply: every
+    transition lands on its equivalence-class representative.  Otherwise
+    — and when the minimization budget blows, which silently falls back
+    (memoized and counted in the metrics registry) — it is ``automaton``
+    itself.
 
     ``forest_depth`` is the recovered elimination forest's depth
     (:func:`elimination_forest_depth`); the quotient closure only covers
@@ -84,57 +77,18 @@ def engine_automaton(
     ``repro_minimize_depth_bypass_total``): its runs glue against
     partner values the refinement never saw, and applying the quotient
     there can change answers.
-
-    ``vectorized`` additionally swaps in the shared
-    :class:`TabulatedAutomaton` kernel — value-identical transitions, so
-    the CONGEST layer cannot tell the difference; the other engines run
-    the (possibly minimized) automaton as-is.
     """
-    base = automaton
-    if minimize and d is not None:
-        if forest_depth is not None and forest_depth > d:
-            _registry().counter(
-                "repro_minimize_depth_bypass_total",
-                "Runs whose elimination forest outgrew the minimization "
-                "closure.",
-            ).inc()
-        else:
-            wrapper = minimized_automaton(automaton, d=d, labels=labels)
-            if wrapper is not None:
-                base = wrapper
-    if engine == "vectorized":
-        return tabulated(base)
-    return base
-
-
-class _IdCodec:
-    """Per-program bridge between kernel state ids and codec class ids.
-
-    Memoizes both directions so the hot loops never re-hash structured
-    states; ``encode`` still reaches :meth:`ClassCodec.encode` on each
-    id's *first* use, preserving the first-encounter class-id assignment
-    order of the state-level code paths.
-    """
-
-    def __init__(self, automaton: TabulatedAutomaton, codec: "ClassCodec"):
-        self._automaton = automaton
-        self._codec = codec
-        self._classes: Dict[int, int] = {}
-        self._ids: Dict[int, int] = {}
-
-    def encode(self, sid: int) -> int:
-        class_id = self._classes.get(sid)
-        if class_id is None:
-            class_id = self._codec.encode(self._automaton.state_of(sid))
-            self._classes[sid] = class_id
-        return class_id
-
-    def decode(self, class_id: int) -> int:
-        sid = self._ids.get(class_id)
-        if sid is None:
-            sid = self._automaton.id_of(self._codec.decode(class_id))
-            self._ids[class_id] = sid
-        return sid
+    if not minimize or d is None:
+        return automaton
+    if forest_depth is not None and forest_depth > d:
+        _registry().counter(
+            "repro_minimize_depth_bypass_total",
+            "Runs whose elimination forest outgrew the minimization "
+            "closure.",
+        ).inc()
+        return automaton
+    wrapper = minimized_automaton(automaton, d=d, labels=labels)
+    return automaton if wrapper is None else wrapper
 
 
 class ClassCodec:
@@ -187,15 +141,7 @@ def local_base_symbol(ctx: NodeContext, scope: Tuple[sx.Var, ...]) -> BaseSymbol
 
 
 def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
-    """Node program factory for the bottom-up decision convergecast.
-
-    When handed a :class:`TabulatedAutomaton` (``engine="vectorized"``),
-    the per-node Forget(Glue-chain(·)) replay runs over integer state ids
-    with whole-node join memoization; the messages carry the same codec
-    class ids either way.
-    """
-    tab = automaton if isinstance(automaton, TabulatedAutomaton) else None
-    ids = _IdCodec(tab, codec) if tab is not None else None
+    """Node program factory for the bottom-up decision convergecast."""
 
     @node_program(rounds="20 + 6*2**d + 2*n")
     def program(ctx: NodeContext) -> Generator[None, Inbox, bool]:
@@ -204,10 +150,7 @@ def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
         parent: Optional[Vertex] = ctx.input["parent"]
 
         symbol = local_base_symbol(ctx, automaton.scope)
-        if tab is not None:
-            sid = tab.leaf_id(symbol)
-        else:
-            state = automaton.leaf(symbol)
+        state = automaton.leaf(symbol)
         pending = set(children)
         child_states: Dict[Vertex, Any] = {}
         # Bottom-up phase: wait for every child's class.
@@ -221,31 +164,17 @@ def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
                         and payload
                         and payload[0] == "class"
                     ):
-                        child_states[sender] = (
-                            ids.decode(payload[1])
-                            if tab is not None
-                            else codec.decode(payload[1])
-                        )
+                        child_states[sender] = codec.decode(payload[1])
                         pending.discard(sender)
-            if tab is not None:
-                sid = tab.fold_decide(
-                    depth, sid, tuple(child_states[c] for c in children)
-                )
-                if parent is not None:
-                    ctx.send(parent, ("class", ids.encode(sid)))
-            else:
-                for child in children:
-                    state = automaton.glue(depth, state, child_states[child])
-                state = automaton.forget(depth, state)
-                if parent is not None:
-                    ctx.send(parent, ("class", codec.encode(state)))
+            for child in children:
+                state = automaton.glue(depth, state, child_states[child])
+            state = automaton.forget(depth, state)
+            if parent is not None:
+                ctx.send(parent, ("class", codec.encode(state)))
         # Top-down verdict flood.
         with ctx.phase("verdict-flood"):
             if parent is None:
-                verdict = (
-                    tab.accepts_id(sid) if tab is not None
-                    else automaton.accepts(state)
-                )
+                verdict = automaton.accepts(state)
                 for child in children:
                     # Children still yield awaiting the verdict flood.
                     ctx.send(child, ("verdict", verdict))  # repro: noqa[RL003]
@@ -342,7 +271,6 @@ def decide_pipeline(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     minimize: Optional[bool] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
@@ -371,14 +299,12 @@ def decide_pipeline(
     """
     cfg = RunConfig.from_kwargs(
         config,
-        defaults=PIPELINE_DEFAULTS,
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
         minimize=minimize,
         codec=codec,
     )
@@ -386,7 +312,7 @@ def decide_pipeline(
     elim = build_elimination_tree(
         graph, d, budget=cfg.budget, tracer=tracer,
         inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry, engine=cfg.engine,
+        retry=cfg.retry,
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -412,7 +338,7 @@ def decide_pipeline(
     forest_depth = elimination_forest_depth(elim)
     program = decision_program(
         engine_automaton(
-            formula_automaton, cfg.engine,
+            formula_automaton,
             minimize=cfg.minimize_enabled, d=d,
             labels=labels, forest_depth=forest_depth,
         ),
@@ -444,7 +370,6 @@ def decide_pipeline(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     if result.crashed:
         raise FaultToleranceExceeded(

@@ -23,7 +23,6 @@ from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import SymbolChoice, enumerate_symbol_choices
-from ..algebra.tables import TabulatedAutomaton
 from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
@@ -32,9 +31,7 @@ from ..obs import Tracer, maybe_phase
 from ..runconfig import RunConfig
 from .elimination import build_elimination_tree
 from .model_checking import (
-    PIPELINE_DEFAULTS,
     ClassCodec,
-    _IdCodec,
     elimination_forest_depth,
     engine_automaton,
     graph_label_alphabet,
@@ -60,19 +57,9 @@ def optimization_program(
     codec: ClassCodec,
     maximize: bool,
 ):
-    """Node program factory for the optimization protocol.
-
-    With a :class:`TabulatedAutomaton` (``engine="vectorized"``) the OPT
-    tables are merged through the kernel's digest-memoized
-    :meth:`~TabulatedAutomaton.merge_opt` / :meth:`~TabulatedAutomaton.fold_forget_opt`
-    joins over integer ids; back-pointers and the ARGOPT walk operate on
-    the same ids, and the streamed (class id, weight) entries are
-    unchanged.
-    """
+    """Node program factory for the optimization protocol."""
     sign = 1 if maximize else -1
     var = automaton.scope[0]
-    tab = automaton if isinstance(automaton, TabulatedAutomaton) else None
-    ids = _IdCodec(tab, codec) if tab is not None else None
 
     @node_program
     def program(ctx: NodeContext) -> Generator[None, Inbox, NodeSelection]:
@@ -102,17 +89,12 @@ def optimization_program(
         def better(candidate: int, incumbent: Optional[int]) -> bool:
             return incumbent is None or sign * candidate > sign * incumbent
 
-        encode = ids.encode if tab is not None else codec.encode
-        decode = ids.decode if tab is not None else codec.decode
         table: Dict[Any, int] = {}
         leaf_choice: Dict[Any, SymbolChoice] = {}
         for choice in enumerate_symbol_choices(
             base.structure, automaton.scope, ctx.node, owned_edges
         ):
-            state = (
-                tab.leaf_id(choice.symbol) if tab is not None
-                else automaton.leaf(choice.symbol)
-            )
+            state = automaton.leaf(choice.symbol)
             w = weight_of(choice.chosen[0])
             if better(w, table.get(state)):
                 table[state] = w
@@ -127,60 +109,35 @@ def optimization_program(
             glue_back: List[Tuple[Vertex, Dict[Any, Tuple[Any, Any]]]] = []
             for child in children:
                 child_table = {
-                    decode(class_id): weight
+                    codec.decode(class_id): weight
                     for class_id, weight in collector.items_from(child)
                 }
-                if tab is not None:
-                    merged_pairs, back_pairs = tab.merge_opt(
-                        depth,
-                        tuple(
-                            (s1, table[s1])
-                            for s1 in sorted(table, key=encode)
-                        ),
-                        tuple(
-                            (s2, child_table[s2])
-                            for s2 in sorted(child_table, key=encode)
-                        ),
-                        sign,
-                    )
-                    table = dict(merged_pairs)
-                    back = dict(back_pairs)
-                else:
-                    merged: Dict[Any, int] = {}
-                    back = {}
-                    for s1 in sorted(table, key=codec.encode):
-                        for s2 in sorted(child_table, key=codec.encode):
-                            s = automaton.glue(depth, s1, s2)
-                            w = table[s1] + child_table[s2]
-                            if better(w, merged.get(s)):
-                                merged[s] = w
-                                back[s] = (s1, s2)
-                    table = merged
+                merged: Dict[Any, int] = {}
+                back: Dict[Any, Tuple[Any, Any]] = {}
+                for s1 in sorted(table, key=codec.encode):
+                    for s2 in sorted(child_table, key=codec.encode):
+                        s = automaton.glue(depth, s1, s2)
+                        w = table[s1] + child_table[s2]
+                        if better(w, merged.get(s)):
+                            merged[s] = w
+                            back[s] = (s1, s2)
+                table = merged
                 glue_back.append((child, back))
 
-            if tab is not None:
-                forget_pairs, fback_pairs = tab.fold_forget_opt(
-                    depth,
-                    tuple((s, table[s]) for s in sorted(table, key=encode)),
-                    sign,
-                )
-                forget_table: Dict[Any, int] = dict(forget_pairs)
-                forget_back: Dict[Any, Any] = dict(fback_pairs)
-            else:
-                forget_table = {}
-                forget_back = {}
-                for s in sorted(table, key=codec.encode):
-                    fs = automaton.forget(depth, s)
-                    if better(table[s], forget_table.get(fs)):
-                        forget_table[fs] = table[s]
-                        forget_back[fs] = s
+            forget_table: Dict[Any, int] = {}
+            forget_back: Dict[Any, Any] = {}
+            for s in sorted(table, key=codec.encode):
+                fs = automaton.forget(depth, s)
+                if better(table[s], forget_table.get(fs)):
+                    forget_table[fs] = table[s]
+                    forget_back[fs] = s
 
             # -- stream the forgotten table up ------------------------------
             if parent is not None:
                 entries = [
-                    (encode(s), w)
+                    (codec.encode(s), w)
                     for s, w in sorted(
-                        forget_table.items(), key=lambda kv: encode(kv[0])
+                        forget_table.items(), key=lambda kv: codec.encode(kv[0])
                     )
                 ]
                 for class_id, weight in entries:
@@ -200,7 +157,7 @@ def optimization_program(
                         payload = inbox[parent]
                         if isinstance(payload, tuple) and payload:
                             if payload[0] == "pick":
-                                my_class = decode(payload[1])
+                                my_class = codec.decode(payload[1])
                             elif payload[0] == "infeasible":
                                 infeasible = True
                 if infeasible:
@@ -210,12 +167,8 @@ def optimization_program(
                     return NodeSelection(feasible=False)
             else:
                 best: Optional[Any] = None
-                for s in sorted(forget_table, key=encode):
-                    accepted = (
-                        tab.accepts_id(s) if tab is not None
-                        else automaton.accepts(s)
-                    )
-                    if accepted and better(
+                for s in sorted(forget_table, key=codec.encode):
+                    if automaton.accepts(s) and better(
                         forget_table[s], None if best is None else forget_table[best]
                     ):
                         best = s
@@ -236,7 +189,7 @@ def optimization_program(
                 state = left
             for child in children:
                 # Children still yield awaiting their pick, so this delivers.
-                ctx.send(child, ("pick", encode(child_picks[child])))  # repro: noqa[RL003]
+                ctx.send(child, ("pick", codec.encode(child_picks[child])))  # repro: noqa[RL003]
         choice = leaf_choice[state]
         selected = choice.chosen[0]
         vertex_selected = any(not isinstance(item, tuple) for item in selected)
@@ -283,7 +236,6 @@ def optimize_pipeline(
     seed: Optional[int] = None,
     faults=None,
     retry=None,
-    engine: Optional[str] = None,
     minimize: Optional[bool] = None,
     codec: Optional[ClassCodec] = None,
     config: Optional[RunConfig] = None,
@@ -291,7 +243,7 @@ def optimize_pipeline(
     """Run Algorithm 2 followed by the optimization protocol.
 
     ``automaton`` must be compiled with scope = (S,), the free set variable.
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` / ``engine`` have
+    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
     the same semantics as in :func:`.model_checking.decide_pipeline`: both
     phases share the adversary, and any crash raises
     :class:`~repro.errors.FaultToleranceExceeded` — an optimum computed on
@@ -302,14 +254,12 @@ def optimize_pipeline(
         raise ProtocolError("optimization needs scope = one free set variable")
     cfg = RunConfig.from_kwargs(
         config,
-        defaults=PIPELINE_DEFAULTS,
         budget=budget,
         trace=tracer,
         inbox_order=inbox_order,
         seed=seed,
         faults=faults,
         retry=retry,
-        engine=engine,
         minimize=minimize,
         codec=codec,
     )
@@ -317,7 +267,7 @@ def optimize_pipeline(
     elim = build_elimination_tree(
         graph, d, budget=cfg.budget, tracer=tracer,
         inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry, engine=cfg.engine,
+        retry=cfg.retry,
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -344,7 +294,7 @@ def optimize_pipeline(
     forest_depth = elimination_forest_depth(elim)
     program = optimization_program(
         engine_automaton(
-            automaton, cfg.engine,
+            automaton,
             minimize=cfg.minimize_enabled, d=d,
             labels=labels, forest_depth=forest_depth,
         ),
@@ -377,7 +327,6 @@ def optimize_pipeline(
             inbox_order=cfg.inbox_order,
             seed=cfg.seed,
             faults=cfg.faults,
-            engine=cfg.engine,
         )
     if result.crashed:
         raise FaultToleranceExceeded(

@@ -85,21 +85,3 @@ class FaultToleranceExceeded(CongestError):
 
 class CertificationError(ReproError):
     """Raised by the certification prover on unsatisfiable instances."""
-
-
-class UnknownEngineError(CongestError):
-    """An ``engine=`` value that names no registered round scheduler.
-
-    Raised at configuration time (:class:`repro.api.RunConfig`,
-    :class:`repro.api.Session`) and by the simulator itself, so a typo
-    fails fast with the list of valid engines instead of surfacing as a
-    late ``KeyError`` inside the runtime.
-    """
-
-    def __init__(self, engine, valid=()):
-        self.engine = engine
-        self.valid = tuple(valid)
-        choices = ", ".join(repr(name) for name in self.valid)
-        super().__init__(
-            f"unknown engine {engine!r}; valid engines: {choices}"
-        )

@@ -268,24 +268,6 @@ _ATTR_CALL_RESULTS = {
     # serializable form is its O(log n) class id (ClassCodec roundtrip).
     "decode": AV_LOGN,
     "accepts": AV_BOOL,
-    # The TabulatedAutomaton kernel's integer state ids: contiguous
-    # intern indices, so id-valued results carry the same O(log n)
-    # bound as ClassCodec ids.
-    "accepts_id": AV_BOOL,
-    "leaf_id": AV_LOGN,
-    "id_of": AV_LOGN,
-    "glue_id": AV_LOGN,
-    "forget_id": AV_LOGN,
-    "fold_decide": AV_LOGN,
-    # The kernel's OPT joins return sequences of (state id, weight)
-    # pairs — both components class-id / weight-sum sized.  The COUNT
-    # joins are deliberately NOT mapped: their counts can exceed any
-    # per-message budget and must be digit-streamed, which the ⊤ width
-    # correctly forces the certifier to check.
-    "merge_opt": AV(TOP, content=AV(TOP, content=AV(
-        Width(logn=2, const=6), content=AV_LOGN))),
-    "fold_forget_opt": AV(TOP, content=AV(TOP, content=AV(
-        Width(logn=2, const=6), content=AV_LOGN))),
     "bit_length": AV(Width(logn=1, const=2)),
     # RNG draws (seeded or not — determinism is RL002's department) are
     # machine-word bounded.

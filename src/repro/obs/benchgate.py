@@ -9,11 +9,14 @@ Compares fresh ``BENCH_*.json`` results (as written by
   changed answer or round count is a correctness-adjacent regression, not
   a perf wobble.  Grid mismatches (e.g. a smoke fresh run against a full
   baseline) skip the checks comparison with a note.
-* **speedup** — the fresh speedup must stay within a relative tolerance
-  of the baseline (default: may drop to 50% of baseline), *unless* it is
-  still above an absolute floor (default 1.0x: batched no slower than
-  naive), which absorbs timing noise on shared CI machines.
-* **wall-clock** — ``naive_seconds`` / ``batched_seconds`` are compared
+* **speedup** — the fresh ``minimized_speedup`` must stay within a
+  relative tolerance of the baseline (default: may drop to 50% of
+  baseline), *unless* it is still above an absolute floor (default 1.0x:
+  minimized no slower than raw), which absorbs timing noise on shared CI
+  machines.
+* **state reduction** — ``state_reduction`` is deterministic for a fixed
+  kernel and may never drop.
+* **wall-clock** — ``batched_seconds`` / ``minimized_seconds`` are compared
   only when a time tolerance is given explicitly; raw seconds are too
   machine-dependent to gate by default.
 
@@ -143,11 +146,9 @@ def compare_bench(
             lines.append(f"  {exp}: grid differs from baseline; "
                          "correctness checks skipped")
 
-        for metric in ("speedup", "vectorized_speedup", "minimized_speedup"):
-            fs, bs = f.get(metric), b.get(metric)
-            if not isinstance(fs, (int, float)) \
-                    or not isinstance(bs, (int, float)):
-                continue
+        metric = "minimized_speedup"
+        fs, bs = f.get(metric), b.get(metric)
+        if isinstance(fs, (int, float)) and isinstance(bs, (int, float)):
             limit = bs * (1 - speedup_tolerance)
             if fs < limit and fs < speedup_floor:
                 breaches.append(BenchBreach(
@@ -175,8 +176,7 @@ def compare_bench(
                              f"baseline {bs} ok")
 
         if time_tolerance is not None:
-            for metric in ("naive_seconds", "batched_seconds",
-                           "vectorized_seconds", "minimized_seconds"):
+            for metric in ("batched_seconds", "minimized_seconds"):
                 fv, bv = f.get(metric), b.get(metric)
                 if not isinstance(fv, (int, float)) \
                         or not isinstance(bv, (int, float)):

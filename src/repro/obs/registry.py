@@ -15,7 +15,7 @@ Metric families (all prefixed ``repro_``):
 =============================================  =========  =================
 name                                           type       labels
 =============================================  =========  =================
-``repro_simulations_total``                    counter    ``engine``
+``repro_simulations_total``                    counter
 ``repro_rounds_total``                         counter
 ``repro_messages_total``                       counter
 ``repro_message_bits_total``                   counter
@@ -375,19 +375,18 @@ def collect_run() -> Iterator[RunCollector]:
         _COLLECTORS.remove(collector)
 
 
-def note_simulation(metrics: Any, engine: str = "naive") -> None:
+def note_simulation(metrics: Any) -> None:
     """Fold one finished simulation's metrics into the process registry.
 
     Called by :class:`repro.congest.runtime.Simulation` exactly once per
-    run (both engines).  Injected-fault counts are *not* folded here —
+    run.  Injected-fault counts are *not* folded here —
     the :class:`~repro.faults.injector.FaultInjector` counts them live —
     but they do flow into any active :class:`RunCollector`.
     """
     reg = registry()
     reg.counter(
-        "repro_simulations_total", "Finished CONGEST simulations.",
-        ("engine",),
-    ).inc(engine=engine)
+        "repro_simulations_total", "Finished CONGEST simulations."
+    ).inc()
     reg.counter(
         "repro_rounds_total", "Simulated synchronous rounds."
     ).inc(metrics.rounds)

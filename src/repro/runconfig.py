@@ -1,18 +1,20 @@
 """One frozen configuration object for every execution surface.
 
 Every pipeline in :mod:`repro.distributed` and the :class:`repro.api.Session`
-facade share the same execution knobs — seed, inbox order, engine, fault
-plan, retry policy, bit budget, tracing, automaton cache, class codec.
-:class:`RunConfig` is the single place those knobs are named and
-validated; the legacy keyword surfaces all funnel through
-:meth:`RunConfig.from_kwargs`, so an invalid ``engine=`` or
-``inbox_order=`` fails identically (and typed) everywhere.
+facade share the same execution knobs — seed, inbox order, fault plan,
+retry policy, bit budget, minimization, tracing, automaton cache, class
+codec.  :class:`RunConfig` is the single place those knobs are named and
+validated; the keyword surfaces all funnel through
+:meth:`RunConfig.from_kwargs`, so an invalid ``inbox_order=`` fails
+identically everywhere.
 
 ``to_json`` / ``from_json`` are the replay contract:
 ``Result.replay_args`` and fuzz-corpus replay files store exactly this
 encoding, and :meth:`repro.api.Session.from_replay` reconstructs a
 byte-identical run from it.  Only the replayable fields are serialized —
 ``trace`` / ``cache`` / ``codec`` hold live objects and stay local.
+Replays stored while there were three engines carry an ``engine`` key;
+:meth:`RunConfig.from_json` accepts and ignores its legacy values.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-from .congest.runtime import ENGINES, INBOX_ORDERS
-from .errors import ReproError, UnknownEngineError
+from .congest.runtime import INBOX_ORDERS
+from .errors import ReproError
 
 __all__ = ["RunConfig", "resolve_tracer"]
 
@@ -42,39 +44,40 @@ def resolve_tracer(trace: Any) -> Optional[Any]:
     return current_tracer()
 
 #: The replayable subset of fields, in their canonical JSON order.
-REPLAY_FIELDS = (
-    "seed", "inbox_order", "faults", "retry", "budget", "engine", "minimize"
-)
+REPLAY_FIELDS = ("seed", "inbox_order", "faults", "retry", "budget", "minimize")
+
+#: ``engine`` values older replays may carry; all ran the same transcript.
+LEGACY_ENGINES = ("naive", "batched", "vectorized")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated execution knobs shared by Session and every pipeline.
 
-    Parameters mirror the historical keyword arguments:
+    Parameters mirror the keyword arguments of Session and the pipelines:
 
     * ``seed`` / ``inbox_order`` — the simulator's adversarial delivery
       knobs (see :class:`repro.congest.Simulation`);
-    * ``engine`` — ``"naive"``, ``"batched"``, or ``"vectorized"``
-      (differentially identical schedulers; see ``docs/engines.md``);
     * ``faults`` / ``retry`` — a :class:`repro.faults.FaultPlan`
       adversary and :class:`repro.faults.RetryPolicy` reliability layer;
     * ``budget`` — per-edge per-round bit budget override;
     * ``minimize`` — ``False`` opts out of the state-space reduction
       passes of :mod:`repro.algebra.minimize`; ``None`` (the default)
-      means minimize on every engine, which keeps CONGEST transcripts
-      byte-identical across engines (see ``docs/engines.md``);
+      means minimize (see ``docs/engines.md``);
     * ``trace`` — ``True`` for a fresh :class:`repro.obs.Tracer`, or a
       Tracer instance to record into;
     * ``cache`` — an :class:`repro.algebra.cache.AutomatonCache`
       (Session-level; pipelines receive compiled automata directly);
     * ``codec`` — a :class:`repro.distributed.model_checking.ClassCodec`
       to share class ids across runs (pipeline-level).
+
+    There is one round scheduler and one automaton kernel, so ``engine``
+    is not a knob: it is a read-only property, always ``"batched"``, kept
+    for RunReports and other readers of the old field.
     """
 
     seed: Optional[int] = None
     inbox_order: str = "arrival"
-    engine: str = "batched"
     faults: Optional[Any] = None
     retry: Optional[Any] = None
     budget: Optional[int] = None
@@ -84,8 +87,6 @@ class RunConfig:
     codec: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise UnknownEngineError(self.engine, ENGINES)
         if self.inbox_order not in INBOX_ORDERS:
             raise ReproError(
                 f"unknown inbox order {self.inbox_order!r}; "
@@ -103,20 +104,16 @@ class RunConfig:
     def from_kwargs(
         cls,
         config: Optional["RunConfig"] = None,
-        defaults: Optional[Mapping[str, Any]] = None,
         **kwargs: Any,
     ) -> "RunConfig":
-        """Normalize a legacy kwargs surface into one validated config.
+        """Normalize a kwargs surface into one validated config.
 
         ``config`` (when given) is taken whole; keyword arguments must
         then all be ``None`` — mixing both surfaces would make it
         ambiguous which value wins.  Without ``config``, keywords with
-        value ``None`` fall back to ``defaults`` and then the dataclass
-        defaults, so ``from_kwargs(engine=None)`` means "the default
-        engine", exactly like omitting the keyword.  ``defaults`` lets a
-        caller keep a historical default that differs from the dataclass
-        one (the pipelines default to the ``naive`` engine, Session to
-        ``batched``).
+        value ``None`` fall back to the dataclass defaults, so
+        ``from_kwargs(seed=None)`` means "the default seed", exactly like
+        omitting the keyword.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(kwargs) - known
@@ -136,23 +133,22 @@ class RunConfig:
                     f"config must be a RunConfig, not {type(config).__name__}"
                 )
             return config
-        provided = dict(defaults or {})
-        provided.update(
-            (k, v) for k, v in kwargs.items() if v is not None
-        )
-        return cls(**provided)
+        return cls(**{k: v for k, v in kwargs.items() if v is not None})
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """A copy with ``overrides`` applied (re-validated)."""
         return replace(self, **overrides)
 
     @property
+    def engine(self) -> str:
+        """The round scheduler every run uses (read-only, always batched)."""
+        return "batched"
+
+    @property
     def minimize_enabled(self) -> bool:
         """Whether the state-space reduction passes apply to this run.
 
-        ``None`` (auto) resolves to ``True`` for every engine: enabling
-        minimization per engine would break the cross-engine
-        byte-identity contract the testkit enforces.
+        ``None`` (auto) resolves to ``True``.
         """
         return self.minimize is not False
 
@@ -177,10 +173,20 @@ class RunConfig:
 
         Unknown keys are rejected — a replay file with a field this
         version cannot reproduce must fail loudly, not silently drift.
+        The one exception is a legacy ``engine`` naming one of
+        :data:`LEGACY_ENGINES`: every engine produced the same
+        transcript, so it is dropped; any other value is rejected.
         """
         from .faults import FaultPlan, RetryPolicy
 
         kwargs: Dict[str, Any] = dict(replay)
+        if "engine" in kwargs:
+            engine = kwargs.pop("engine")
+            if engine not in LEGACY_ENGINES:
+                raise ReproError(
+                    f"unknown engine {engine!r} in replay; stored replays "
+                    f"may only name {LEGACY_ENGINES}"
+                )
         unknown = set(kwargs) - set(REPLAY_FIELDS)
         if unknown:
             raise ReproError(

@@ -11,9 +11,8 @@ that promise into an executable oracle:
 * :mod:`~repro.testkit.generators` — seeded, size-bounded case
   generators over the paper's graph families and an MSO fragment;
 * :mod:`~repro.testkit.oracles` — the differential oracle: sequential
-  semantics vs :class:`repro.api.Session` across ``engine`` ×
-  ``inbox_order`` × fault plans, with byte-identity checks where the
-  engine guarantees apply;
+  semantics vs :class:`repro.api.Session` across ``inbox_order`` ×
+  fault plans, with a byte-transparency check for the null fault plan;
 * :mod:`~repro.testkit.metamorphic` — metamorphic relations
   (isomorphism invariance, label permutation, disjoint-union
   composition, seed independence);

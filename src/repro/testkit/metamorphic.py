@@ -17,9 +17,6 @@ case from a source case and states how the answers must relate:
 * **seed independence** — the simulator seed and delivery order
   permute message arrival, never answers: every (seed, inbox order)
   perturbation of a fault-free run returns the same verdict/value/count.
-* **engine equivalence** — the ``vectorized`` kernel engine is
-  byte-identical to ``batched``: same answers *and* the same
-  (rounds, messages, bits, classes) signature on every case.
 
 All relations report :class:`~repro.testkit.oracles.Discrepancy` values,
 so the fuzz runner treats them exactly like differential failures.
@@ -42,7 +39,6 @@ from .cases import Case
 from .oracles import (
     Discrepancy,
     Reference,
-    _byte_signature,
     _expected_fields,
     _outcome_fields,
     _run_cell,
@@ -51,7 +47,6 @@ from .oracles import (
 
 __all__ = [
     "check_metamorphic",
-    "engine_equivalence_relation",
     "isomorphism_relation",
     "label_permutation_relation",
     "seed_independence_relation",
@@ -172,49 +167,6 @@ def seed_independence_relation(
     return found
 
 
-def engine_equivalence_relation(
-    case: Case, cache: AutomatonCache, ref: Reference
-) -> List[Discrepancy]:
-    """``vectorized`` must be byte-identical to ``batched``.
-
-    Beyond agreeing on the answer, the two engines must produce the
-    same CONGEST transcript signature — rounds, messages, payload
-    bits, and class count — because the vectorized kernel only changes
-    *local* computation, never what goes on the wire.  The grid covers
-    both minimization settings: the state-space reduction passes of
-    :mod:`repro.algebra.minimize` rewrite states locally too, so within
-    each ``minimize`` cell every engine must stay on the same bytes
-    (minimize on-vs-off may legitimately change the transcript — it is
-    a run-configuration change, recorded in the replay args).
-    """
-    expected = _expected_fields(case, ref)
-    found: List[Discrepancy] = []
-    for minimize in (False, True):
-        cells = {}
-        for engine in ("batched", "vectorized"):
-            session = Session(
-                case.graph, case.d, seed=case.seed, engine=engine,
-                minimize=minimize, cache=cache,
-            )
-            cells[engine] = _run_cell(case, session)
-        got = _outcome_fields(case, cells["vectorized"])
-        if got != expected:
-            found.append(Discrepancy(
-                case.case_id, "metamorphic-engine",
-                f"vectorized engine (minimize={minimize}) answered "
-                f"{got!r} instead of {expected!r}", note=case.note,
-            ))
-        sig = {e: _byte_signature(r) for e, r in cells.items()}
-        if sig["vectorized"] != sig["batched"]:
-            found.append(Discrepancy(
-                case.case_id, "metamorphic-engine-bytes",
-                f"minimize={minimize}: vectorized signature "
-                f"{sig['vectorized']!r} != batched {sig['batched']!r}",
-                note=case.note,
-            ))
-    return found
-
-
 def union_relation(
     case: Case, cache: AutomatonCache, ref: Reference,
     other: Optional[Graph] = None,
@@ -257,7 +209,6 @@ def check_metamorphic(
     found.extend(isomorphism_relation(base, cache, ref))
     found.extend(label_permutation_relation(base, cache, ref))
     found.extend(seed_independence_relation(base, cache, ref))
-    found.extend(engine_equivalence_relation(base, cache, ref))
     if base.workload in ("decide", "certify") and "/union/" in f"/{base.note}/":
         found.extend(union_relation(base, cache, ref))
     return found

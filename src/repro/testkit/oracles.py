@@ -7,12 +7,10 @@ For one :class:`~repro.testkit.cases.Case` the oracle
    on small graphs — cross-checks it against the brute-force
    :mod:`repro.mso.semantics` ground truth;
 2. runs the workload through :class:`repro.api.Session` for every
-   ``engine`` × ``inbox_order`` cell, asserting verdict/value/count
-   agreement with the reference and that the treedepth promise held;
-3. asserts **byte-identity where PR 4's guarantees apply**: for a fixed
-   (seed, inbox order, fault plan) the ``naive`` and ``batched`` engines
-   must agree on rounds, messages, max payload bits, and class count —
-   and a null fault plan must be byte-transparent;
+   ``inbox_order``, asserting verdict/value/count agreement with the
+   reference and that the treedepth promise held;
+3. asserts that a null fault plan is **byte-transparent**: rounds,
+   messages, max payload bits and class count match the fault-free run;
 4. exercises the **lossy axis** when the case carries a fault plan:
    under the redundancy-lockstep synchronizer the distributed verdict
    must equal the reference or the run must fail closed with
@@ -36,7 +34,7 @@ from ..algebra import count as seq_count
 from ..algebra import optimize as seq_optimize
 from ..algebra.cache import AutomatonCache
 from ..api import Result, Session
-from ..congest import ENGINES, INBOX_ORDERS
+from ..congest import INBOX_ORDERS
 from ..errors import CertificationError, FaultToleranceExceeded, ReproError
 from ..faults import FaultPlan, RetryPolicy
 from ..mso import semantics
@@ -198,7 +196,6 @@ def differential_check(
     *,
     reference: Optional[Callable[[Case, AutomatonCache], Reference]] = None,
     cache: Optional[AutomatonCache] = None,
-    engines: Sequence[str] = ENGINES,
     orders: Sequence[str] = INBOX_ORDERS,
 ) -> List[Discrepancy]:
     """Run the full differential matrix for one case.
@@ -216,45 +213,32 @@ def differential_check(
     found.extend(_brute_force(case, ref))
 
     if case.workload == "certify":
-        found.extend(_check_certify(case, ref, cache, engines))
+        found.extend(_check_certify(case, ref, cache))
         return found
 
     expected = _expected_fields(case, ref)
-    cells: Dict[Tuple[str, str], Result] = {}
+    cells: Dict[str, Result] = {}
     for order in orders:
-        for engine in engines:
-            session = Session(
-                case.graph, case.d, seed=case.seed, inbox_order=order,
-                engine=engine, cache=cache,
-            )
-            result = _run_cell(case, session)
-            cells[(order, engine)] = result
-            cell = f"engine={engine} order={order}"
-            if result.treedepth_exceeded:
-                found.append(Discrepancy(
-                    case.case_id, "treedepth",
-                    f"promise d={case.d} rejected although the generator "
-                    "guarantees it", cell, note=case.note,
-                ))
-                continue
-            got = _outcome_fields(case, result)
-            if got != expected:
-                found.append(Discrepancy(
-                    case.case_id, "verdict",
-                    f"distributed {got!r} != sequential {expected!r}",
-                    cell, note=case.note,
-                ))
-        # Byte-identity across engines for this fixed delivery order.
-        signatures = {
-            engine: _byte_signature(cells[(order, engine)])
-            for engine in engines
-            if not cells[(order, engine)].treedepth_exceeded
-        }
-        if len(set(signatures.values())) > 1:
+        session = Session(
+            case.graph, case.d, seed=case.seed, inbox_order=order,
+            cache=cache,
+        )
+        result = _run_cell(case, session)
+        cells[order] = result
+        cell = f"order={order}"
+        if result.treedepth_exceeded:
             found.append(Discrepancy(
-                case.case_id, "engine-bytes",
-                f"engines disagree on (rounds, messages, bits, classes): "
-                f"{signatures!r}", f"order={order}", note=case.note,
+                case.case_id, "treedepth",
+                f"promise d={case.d} rejected although the generator "
+                "guarantees it", cell, note=case.note,
+            ))
+            continue
+        got = _outcome_fields(case, result)
+        if got != expected:
+            found.append(Discrepancy(
+                case.case_id, "verdict",
+                f"distributed {got!r} != sequential {expected!r}",
+                cell, note=case.note,
             ))
 
     found.extend(_check_null_plan(case, cells, cache))
@@ -265,16 +249,16 @@ def differential_check(
 
 def _check_null_plan(
     case: Case,
-    cells: Dict[Tuple[str, str], Result],
+    cells: Dict[str, Result],
     cache: AutomatonCache,
 ) -> List[Discrepancy]:
     """A null fault plan must be byte-for-byte invisible."""
-    baseline = cells.get(("arrival", "batched"))
+    baseline = cells.get("arrival")
     if baseline is None or baseline.treedepth_exceeded:
         return []
     session = Session(
         case.graph, case.d, seed=case.seed, inbox_order="arrival",
-        engine="batched", cache=cache, faults=FaultPlan(),
+        cache=cache, faults=FaultPlan(),
     )
     nulled = _run_cell(case, session)
     if (_byte_signature(nulled) != _byte_signature(baseline)
@@ -282,7 +266,7 @@ def _check_null_plan(
         return [Discrepancy(
             case.case_id, "null-plan",
             f"null plan changed the run: {_byte_signature(nulled)!r} vs "
-            f"{_byte_signature(baseline)!r}", "engine=batched order=arrival",
+            f"{_byte_signature(baseline)!r}", "order=arrival",
             note=case.note,
         )]
     return []
@@ -366,37 +350,29 @@ def replay_roundtrip_check(
 
 
 def _check_certify(
-    case: Case,
-    ref: Reference,
-    cache: AutomatonCache,
-    engines: Sequence[str],
+    case: Case, ref: Reference, cache: AutomatonCache
 ) -> List[Discrepancy]:
     """certify accepts exactly the sequentially-true formulas."""
-    found: List[Discrepancy] = []
-    for engine in engines:
-        session = Session(case.graph, case.d, seed=case.seed,
-                          engine=engine, cache=cache)
-        cell = f"engine={engine}"
-        try:
-            result = session.certify(case.formula)
-        except CertificationError:
-            if ref.verdict:
-                found.append(Discrepancy(
-                    case.case_id, "certify",
-                    "prover refused a sequentially-true formula",
-                    cell, note=case.note,
-                ))
-            continue
-        if not ref.verdict:
-            found.append(Discrepancy(
+    session = Session(case.graph, case.d, seed=case.seed, cache=cache)
+    try:
+        result = session.certify(case.formula)
+    except CertificationError:
+        if ref.verdict:
+            return [Discrepancy(
                 case.case_id, "certify",
-                "prover certified a sequentially-false formula",
-                cell, note=case.note,
-            ))
-        elif result.verdict is not True:
-            found.append(Discrepancy(
-                case.case_id, "certify",
-                f"verifier rejected a valid certificate "
-                f"(verdict={result.verdict!r})", cell, note=case.note,
-            ))
-    return found
+                "prover refused a sequentially-true formula",
+                note=case.note,
+            )]
+        return []
+    if not ref.verdict:
+        return [Discrepancy(
+            case.case_id, "certify",
+            "prover certified a sequentially-false formula", note=case.note,
+        )]
+    if result.verdict is not True:
+        return [Discrepancy(
+            case.case_id, "certify",
+            f"verifier rejected a valid certificate "
+            f"(verdict={result.verdict!r})", note=case.note,
+        )]
+    return []

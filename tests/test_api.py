@@ -37,9 +37,7 @@ def test_decide_matches_naive_pipeline(network):
     automaton, codec = session.cache.automaton_with_codec(
         formulas.triangle_free(), (), d=3, labels=()
     )
-    baseline = decide_pipeline(
-        automaton, network, 3, codec=codec, engine="naive"
-    )
+    baseline = decide_pipeline(automaton, network, 3, codec=codec)
     assert result.verdict == baseline.accepted
     assert result.rounds == baseline.total_rounds
     assert result.phase_rounds["elimination"] + result.phase_rounds["checking"] \
@@ -141,7 +139,7 @@ def test_certify_acyclic_tree():
 # -- session validation -----------------------------------------------------
 
 def test_session_rejects_unknown_engine_and_order(network):
-    with pytest.raises(ReproError):
+    with pytest.raises(TypeError):
         Session(network, d=3, engine="warp")
     with pytest.raises(ReproError):
         Session(network, d=3, inbox_order="chaotic")
@@ -156,13 +154,18 @@ def test_session_trace_knob(network):
 
 
 def test_engines_agree_through_facade(network):
+    # Replays stored under any of the retired engines rerun identically.
     phi = formulas.k_colorable(2)
-    batched = Session(network, d=3, engine="batched").decide(phi)
-    naive = Session(network, d=3, engine="naive").decide(phi)
-    assert batched.verdict == naive.verdict
-    assert batched.rounds == naive.rounds
-    assert batched.messages == naive.messages
-    assert batched.max_payload_bits == naive.max_payload_bits
+    results = [
+        Session.from_replay(
+            network, 3, {"seed": 1, "engine": engine}
+        ).decide(phi)
+        for engine in ("naive", "batched", "vectorized")
+    ]
+    assert len({
+        (r.verdict, r.rounds, r.messages, r.max_payload_bits)
+        for r in results
+    }) == 1
 
 
 # -- replay regression (satellite) ------------------------------------------
@@ -188,9 +191,8 @@ def test_replay_args_reproduce_faulty_run_and_fault_trace(network):
     assert replay_session.tracer.fault_counts == session.tracer.fault_counts
 
 
-def test_replay_args_include_engine(network):
-    result = Session(network, d=3, engine="naive", seed=1).decide(
-        formulas.triangle_free()
-    )
-    assert result.replay_args["engine"] == "naive"
+def test_replay_args_omit_engine(network):
+    result = Session(network, d=3, seed=1).decide(formulas.triangle_free())
+    assert "engine" not in result.replay_args
     assert result.replay_args["seed"] == 1
+    assert result.report.engine == "batched"

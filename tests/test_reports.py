@@ -101,9 +101,8 @@ def test_simulations_feed_registry_and_collectors(fresh_registry):
     assert len(collector.per_round_messages) == collector.rounds
     data = fresh_registry.to_json()
     assert data["repro_rounds_total"]["samples"][0]["value"] == collector.rounds
-    engines = {s["labels"]["engine"] for s in
-               data["repro_simulations_total"]["samples"]}
-    assert engines == {"batched"}
+    simulations = data["repro_simulations_total"]["samples"]
+    assert [s["value"] for s in simulations] == [collector.simulations]
 
 
 def test_fault_injection_counts_into_registry(fresh_registry):
@@ -150,7 +149,8 @@ def test_result_exposes_cache_deltas_and_report(fresh_registry):
     assert report.metrics["messages"] == first.messages
     assert report.phase_rounds == dict(first.phase_rounds)
     assert report.cache == {"hits": 0, "misses": 1, "disk_loads": 0}
-    assert report.replay["engine"] == "batched"
+    assert report.engine == "batched"
+    assert "engine" not in report.replay
     assert len(report.run_id) == 64
     # Wall-clock and timestamps never leak into the content address.
     assert "wall_seconds" not in report.deterministic_core()
@@ -253,9 +253,9 @@ BENCH = {
         "E1": {
             "grid": [8, 12],
             "checks": [[8, True, 100], [12, True, 150]],
-            "speedup": 2.0,
-            "naive_seconds": 1.0,
-            "batched_seconds": 0.5,
+            "minimized_speedup": 2.0,
+            "batched_seconds": 1.0,
+            "minimized_seconds": 0.5,
         },
     },
 }
@@ -269,13 +269,13 @@ def test_compare_bench_passes_identical_results():
 
 def test_compare_bench_flags_slow_and_wrong_runs():
     slow = json.loads(json.dumps(BENCH))
-    slow["experiments"]["E1"]["speedup"] = 0.4
+    slow["experiments"]["E1"]["minimized_speedup"] = 0.4
     result = compare_bench(slow, BENCH)
-    assert [b.metric for b in result.breaches] == ["speedup"]
+    assert [b.metric for b in result.breaches] == ["minimized_speedup"]
 
     # Above the floor: noise, not a regression, even far below baseline.
     floored = json.loads(json.dumps(BENCH))
-    floored["experiments"]["E1"]["speedup"] = 1.01
+    floored["experiments"]["E1"]["minimized_speedup"] = 1.01
     assert compare_bench(floored, BENCH).ok
 
     wrong = json.loads(json.dumps(BENCH))
@@ -398,7 +398,7 @@ def test_cli_bench_check_pass_and_fail(tmp_path, capsys, monkeypatch):
     assert "bench check: ok" in capsys.readouterr().out
 
     slow = json.loads(json.dumps(BENCH))
-    slow["experiments"]["E1"]["speedup"] = 0.4
+    slow["experiments"]["E1"]["minimized_speedup"] = 0.4
     fresh.write_text(json.dumps(slow))
     assert cli_main(["bench", "check", "--baselines", str(baselines)]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -412,4 +412,4 @@ def test_cli_metrics_env_writes_prometheus(tmp_path, capsys, monkeypatch):
                      "--catalog", "triangle-free"]) == 0
     text = target.read_text()
     assert "# TYPE repro_simulations_total counter" in text
-    assert 'repro_simulations_total{engine="batched"}' in text
+    assert "repro_simulations_total " in text

@@ -96,7 +96,7 @@ def test_wrong_reference_fires_the_oracle(cache):
     found = differential_check(case, reference=wrong, cache=cache)
     kinds = {d.kind for d in found}
     # Brute force disagrees with the planted reference, and so does every
-    # engine x order cell.
+    # inbox-order cell.
     assert "algebra-vs-bruteforce" in kinds
     assert "verdict" in kinds
     assert all(d.case_id == case.case_id for d in found)
@@ -136,6 +136,6 @@ def test_discrepancy_format_and_note_equality():
     from repro.testkit import Discrepancy
 
     d = Discrepancy("ab" * 32, "verdict", "True != False",
-                    cell="engine=naive", note="x")
-    assert "verdict [engine=naive]" in d.format()
+                    cell="order=shuffle", note="x")
+    assert "verdict [order=shuffle]" in d.format()
     assert d == dataclasses.replace(d, note="y")  # note is not identity
