@@ -595,7 +595,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"  minimize fallbacks (process-wide): {int(fallbacks)}")
     for entry in stats["entries"]:
         print(f"  - {entry['key']!r}: "
-              f"{entry['table_entries']} table entries")
+              f"{entry['table_entries']} table entries, "
+              f"{entry['records']} journal records")
         for info in entry["minimized"]:
             labels = ",".join(info["labels"]) or "-"
             if info["fallback"]:

@@ -26,6 +26,8 @@ name                                           type       labels
 ``repro_cache_hits_total``                     counter
 ``repro_cache_misses_total``                   counter
 ``repro_cache_disk_loads_total``               counter
+``repro_cache_writes_total``                   counter    ``mode``
+``repro_cache_records_dropped_total``          counter
 ``repro_sweeps_total``                         counter
 ``repro_sweep_shards_total``                   counter
 ``repro_fuzz_cases_total``                     counter    ``source``
