@@ -38,10 +38,12 @@ from repro.distributed import (
     decide_h_freeness,
     decide_pipeline,
     optimize_pipeline,
+    optmarked_distributed,
 )
 from repro.expansion import grid_residue_decomposition
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import generators as gen
+from repro.graph import properties as props
 from repro.mso import formulas, vertex_set
 from repro.testkit.corpus import iter_corpus
 
@@ -107,10 +109,13 @@ def _grid_runs() -> List[Tuple[str, Callable[[], Signature]]]:
             runs.append((f"grid/{name}/{order}",
                          partial(cell, inbox_order=order)))
         runs.append((f"grid/{name}/unminimized", partial(cell, minimize=False)))
-    # A promise Algorithm 2 must refuse: C8 needs depth 8 > 2^2 - 1.
-    runs.append(("grid/decide/treedepth-exceeded", partial(
-        _session_run, gen.cycle(8), 2, "decide", formulas.triangle_free(),
-    )))
+    # Promises Algorithm 2 must refuse: C8 needs depth 8 > 2^2 - 1.
+    for name, formula, _sense in workloads:
+        if name not in ("decide", "optimize", "count"):
+            continue
+        runs.append((f"grid/{name}/treedepth-exceeded", partial(
+            _session_run, gen.cycle(8), 2, name, formula,
+        )))
     return runs
 
 
@@ -132,10 +137,10 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
             "num_classes": out.num_classes,
         }
 
-    def optimized() -> Signature:
+    def optimized(**knobs) -> Signature:
         out = optimize_pipeline(
             compile_formula(formulas.independent_set(s), (s,)), graph, 3,
-            seed=1,
+            seed=1, **knobs,
         )
         return {
             "verdict": out.feasible, "value": out.value,
@@ -145,10 +150,10 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
             "num_classes": out.num_classes,
         }
 
-    def counted() -> Signature:
+    def counted(**knobs) -> Signature:
         out = count_pipeline(
             compile_with_singletons(triangles, triangle_scope), graph, 3,
-            seed=1,
+            seed=1, **knobs,
         )
         return {
             "count": out.count, "rounds": out.total_rounds,
@@ -156,6 +161,18 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
             "max_payload_bits": out.max_message_bits,
             "num_classes": out.num_classes,
         }
+
+    def optmarked() -> Signature:
+        automaton = compile_formula(formulas.independent_set(s), (s,))
+        _size, best = props.max_independent_set(graph)
+        signatures = {}
+        for name, marked in (("optimum", best), ("single", {min(best)})):
+            out = optmarked_distributed(automaton, graph, 3, frozenset(marked))
+            signatures[name] = {
+                "verdict": out.accepted, "rounds": out.total_rounds,
+                "max_payload_bits": out.max_message_bits,
+            }
+        return signatures
 
     def eliminated() -> Signature:
         out = build_elimination_tree(graph, 3, seed=1)
@@ -198,6 +215,13 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
         ("pipeline/decide/reliable-null-plan", lambda: decided(
             faults=FaultPlan(), retry=RetryPolicy(attempts=2),
         )),
+        ("pipeline/count/reliable-null-plan", lambda: counted(
+            faults=FaultPlan(), retry=RetryPolicy(attempts=2),
+        )),
+        ("pipeline/optimize/reliable-null-plan", lambda: optimized(
+            faults=FaultPlan(), retry=RetryPolicy(attempts=2),
+        )),
+        ("pipeline/optmarked", optmarked),
     ]
 
 
