@@ -45,10 +45,12 @@ elimination forest is at most ``d`` deep (the wrapper's
 deep from a treedepth-``d`` promise — on such a run a level-``d``
 state *does* glue against partners from deeper subtrees the closure
 never enumerated, and a class merged on shallow evidence can be
-distinguishable there.  The pipelines therefore gate per run: the
-wrapper is applied only when the recovered forest depth is
-``<= closure_depth``, and deeper runs fall back to the raw automaton
-(counted in ``repro_minimize_depth_bypass_total``).
+distinguishable there.  The one Theorem 6.1 driver
+(:func:`repro.distributed.model_checking.run_checking`, through
+``engine_automaton``) therefore gates every run: the wrapper is applied
+only when the recovered forest depth is ``<= closure_depth``, and deeper
+runs fall back to the raw automaton (counted in
+``repro_minimize_depth_bypass_total``).
 
 Enumerating the alphabet and closing it is exponential in ``d`` and the
 number of labels/variables, so every pass is guarded by a
@@ -507,8 +509,11 @@ class MinimizedAutomaton(TreeAutomaton):
     against the partner values depth-``closure_depth`` trees can
     produce, and a deeper forest (Algorithm 2 admits up to ``2^d - 1``)
     feeds the canonicalized states contexts the refinement never saw.
-    Callers must check ``closure_depth`` against the actual forest
-    before substituting the wrapper for ``inner``.
+    The CONGEST pipelines substitute the wrapper for ``inner`` only
+    through :func:`repro.distributed.model_checking.engine_automaton`,
+    which the one Theorem 6.1 driver calls once per run with the
+    recovered forest's depth; any other caller must make the same
+    ``closure_depth`` check.
     """
 
     def __init__(self, inner: TreeAutomaton,

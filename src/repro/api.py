@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from .algebra.cache import AutomatonCache, default_cache
-from .algebra.minimize import minimization_stats
+from .algebra.minimize import graph_label_alphabet, minimization_stats
 from .certification import prove, verify
 from .distributed.counting import count_pipeline
 from .distributed.model_checking import decide_pipeline
@@ -307,18 +307,11 @@ class Session:
             return parse(phi)
         return phi
 
-    def _labels(self) -> Tuple[str, ...]:
-        labels = set()
-        for v in self.graph.vertices():
-            labels |= self.graph.vertex_labels(v)
-        for u, v in self.graph.edges():
-            labels |= self.graph.edge_labels(u, v)
-        return tuple(sorted(labels))
-
     def _compiled(self, phi: Formula, scope: Tuple[Var, ...],
                   singletons: bool = False):
         return self.cache.automaton_with_codec(
-            phi, scope, d=self.d, labels=self._labels(), singletons=singletons,
+            phi, scope, d=self.d, labels=graph_label_alphabet(self.graph),
+            singletons=singletons,
         )
 
     def _run_config(self, codec: Any = None) -> RunConfig:
@@ -340,7 +333,7 @@ class Session:
         if not getattr(out, "minimized", False):
             return None
         return minimization_stats(
-            automaton, d=self.d, labels=self._labels()
+            automaton, d=self.d, labels=graph_label_alphabet(self.graph)
         )
 
     # -- workloads -------------------------------------------------------

@@ -16,21 +16,22 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import enumerate_symbol_choices
-from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
-from ..errors import FaultToleranceExceeded, ProtocolError
+from ..congest import Inbox, ItemCollector, NodeContext, node_program
+from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..obs import Tracer, maybe_phase
+from ..obs import Tracer
 from ..runconfig import RunConfig
-from .elimination import build_elimination_tree
-from .model_checking import (
-    ClassCodec,
-    elimination_forest_depth,
+from .model_checking import ClassCodec, local_base_symbol, run_checking
+
+# run_checking makes these calls from .model_checking; the names stay
+# bound here because sessionbench/tracing.py patches each pipeline
+# module's build_elimination_tree, node_inputs_from_elimination,
+# engine_automaton and run_protocol by name.
+from ..congest import run_protocol  # noqa: F401
+from .elimination import build_elimination_tree  # noqa: F401
+from .model_checking import (  # noqa: F401
     engine_automaton,
-    graph_label_alphabet,
-    local_base_symbol,
-    minimization_stats,
     node_inputs_from_elimination,
-    resolve_tracer,
 )
 
 _CHUNK_BITS = 8
@@ -156,7 +157,7 @@ def count_pipeline(
     """Run Algorithm 2 followed by the counting convergecast.
 
     ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
-    the same semantics as in :func:`.model_checking.decide_pipeline`; any
+    the same semantics as in :func:`.model_checking.run_checking`; any
     crash raises :class:`~repro.errors.FaultToleranceExceeded` — a count
     over a partial network is not the count.  All knobs may instead come
     as one ``config=`` :class:`~repro.runconfig.RunConfig`.
@@ -174,86 +175,15 @@ def count_pipeline(
         minimize=minimize,
         codec=codec,
     )
-    tracer = resolve_tracer(cfg.trace)
-    elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
+    run = run_checking(
+        automaton, graph, d, counting_program, cfg,
+        phase="counting", answer=_root_count, max_rounds=500_000,
     )
-    if elim.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, elim.crashed))} crashed during "
-            "elimination; a count needs the whole network",
-            round=elim.rounds,
-        )
-    if not elim.accepted:
-        return DistributedCount(
-            count=None,
-            treedepth_exceeded=True,
-            total_rounds=elim.rounds,
-            elimination_rounds=elim.rounds,
-            counting_rounds=0,
-            max_message_bits=elim.max_message_bits,
-            num_classes=0,
-            total_messages=elim.total_messages,
-        )
-    inputs = node_inputs_from_elimination(graph, elim)
-    codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
-    labels = graph_label_alphabet(graph)
-    forest_depth = elimination_forest_depth(elim)
-    program = counting_program(
-        engine_automaton(
-            automaton,
-            minimize=cfg.minimize_enabled, d=d,
-            labels=labels, forest_depth=forest_depth,
-        ),
-        codec,
-    )
-    minimized = (
-        cfg.minimize_enabled and forest_depth <= d
-        and minimization_stats(automaton, d=d, labels=labels) is not None
-    )
-    run_budget = cfg.budget
-    max_rounds = 500_000
-    if cfg.retry is not None:
-        from ..congest import default_budget
-        from ..faults import reliable_program
+    return DistributedCount(count=run.answer, **run.totals("counting_rounds"))
 
-        program = reliable_program(program, cfg.retry)
-        if run_budget is None:
-            run_budget = default_budget(graph.num_vertices())
-        run_budget = cfg.retry.physical_budget(run_budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "counting"):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=run_budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
-    if result.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, result.crashed))} crashed during the "
-            "counting convergecast; the count cannot be trusted",
-            round=result.rounds,
-        )
-    counts = [c for c in result.outputs.values() if c is not None]
+
+def _root_count(outputs: Dict[Vertex, Optional[int]], _elim: Any) -> int:
+    counts = [c for c in outputs.values() if c is not None]
     if len(counts) != 1:
         raise ProtocolError("exactly one node (the root) should hold the count")
-    return DistributedCount(
-        count=counts[0],
-        treedepth_exceeded=False,
-        total_rounds=elim.rounds + result.rounds,
-        elimination_rounds=elim.rounds,
-        counting_rounds=result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
-        num_classes=codec.num_classes,
-        total_messages=elim.total_messages + result.metrics.total_messages,
-        minimized=minimized,
-    )
-
+    return counts[0]

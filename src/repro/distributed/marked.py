@@ -15,16 +15,21 @@ All three ride the same single convergecast wave.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, FrozenSet, Generator, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import enumerate_symbol_choices
-from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
+from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..mso import syntax as sx
-from .elimination import build_elimination_tree
-from .model_checking import ClassCodec, local_base_symbol, node_inputs_from_elimination
+from ..runconfig import RunConfig
+from .model_checking import (
+    ClassCodec,
+    local_base_symbol,
+    run_checking,
+    unanimous_verdict,
+)
 
 
 def optmarked_program(
@@ -162,32 +167,16 @@ def optmarked_distributed(
     """Is ``marked`` an optimum solution of φ(S)?  (automaton scope = (S,))"""
     if len(automaton.scope) != 1 or not automaton.scope[0].sort.is_set:
         raise ProtocolError("optmarked needs scope = one free set variable")
-    elim = build_elimination_tree(graph, d, budget=budget)
-    if not elim.accepted:
-        return DistributedOptMarked(
-            accepted=False,
-            treedepth_exceeded=True,
-            total_rounds=elim.rounds,
-            max_message_bits=elim.max_message_bits,
-        )
-    var = automaton.scope[0]
-    inputs = node_inputs_from_elimination(
-        graph, elim, assignment={var: frozenset(marked)}, scope=(var,)
+    run = run_checking(
+        automaton, graph, d,
+        partial(optmarked_program, maximize=maximize),
+        RunConfig(budget=budget, minimize=False),
+        phase="optmarked", answer=unanimous_verdict, max_rounds=500_000,
+        assignment={automaton.scope[0]: frozenset(marked)},
     )
-    codec = ClassCodec(automaton)
-    result = run_protocol(
-        graph,
-        optmarked_program(automaton, codec, maximize),
-        inputs=inputs,
-        budget=budget,
-        max_rounds=500_000,
-    )
-    verdicts = set(result.outputs.values())
-    if len(verdicts) != 1:
-        raise ProtocolError(f"verdicts disagree: {result.outputs}")
     return DistributedOptMarked(
-        accepted=bool(verdicts.pop()),
-        treedepth_exceeded=False,
-        total_rounds=elim.rounds + result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
+        accepted=bool(run.answer),
+        treedepth_exceeded=run.treedepth_exceeded,
+        total_rounds=run.total_rounds,
+        max_message_bits=run.max_message_bits,
     )

@@ -24,14 +24,10 @@ distributed analogue of hard-coding 𝒞 and ⊙_f into every node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
-from ..algebra.minimize import (
-    graph_label_alphabet,
-    minimization_stats,
-    minimized_automaton,
-)
+from ..algebra.minimize import graph_label_alphabet, minimized_automaton
 from ..algebra.symbols import BaseStructure, BaseSymbol
 from ..congest import Inbox, NodeContext, default_budget, node_program, run_protocol
 from ..errors import FaultToleranceExceeded, ProtocolError
@@ -43,44 +39,33 @@ from ..runconfig import RunConfig, resolve_tracer
 from .elimination import DistributedEliminationResult, build_elimination_tree
 
 
-def elimination_forest_depth(elim: "DistributedEliminationResult") -> int:
-    """The deepest node of the recovered elimination forest.
-
-    Algorithm 2 proves treedepth ``<= d`` with a forest up to
-    ``2^d - 1`` deep (the paper's ``D``) — the recovered depth, not the
-    promise, is what bounds the boundary levels a run touches.
-    """
-    return max((out.depth for out in elim.outputs.values()), default=0)
-
-
 def engine_automaton(
     automaton: TreeAutomaton,
     *,
-    minimize: bool = False,
-    d: Optional[int] = None,
-    labels: Tuple[str, ...] = (),
-    forest_depth: Optional[int] = None,
+    minimize: bool,
+    d: int,
+    labels: Tuple[str, ...],
+    forest_depth: int,
 ) -> TreeAutomaton:
-    """The automaton a node program should evaluate.
+    """The automaton a node program should evaluate: the depth gate.
 
-    With ``minimize`` (and a depth bound ``d``), the state-space
-    reduction passes of :mod:`repro.algebra.minimize` apply: every
-    transition lands on its equivalence-class representative.  Otherwise
-    — and when the minimization budget blows, which silently falls back
-    (memoized and counted in the metrics registry) — it is ``automaton``
-    itself.
+    With ``minimize``, the state-space reduction passes of
+    :mod:`repro.algebra.minimize` apply: every transition lands on its
+    equivalence-class representative.  Otherwise — and when the
+    minimization budget blows, which silently falls back (memoized and
+    counted in the metrics registry) — it is ``automaton`` itself.
 
-    ``forest_depth`` is the recovered elimination forest's depth
-    (:func:`elimination_forest_depth`); the quotient closure only covers
-    boundary levels ``0..d``, so a deeper forest — Algorithm 2 admits up
-    to ``2^d - 1`` — bypasses the wrapper (counted in
+    ``forest_depth`` is the depth of the elimination forest Algorithm 2
+    actually recovered.  The quotient closure only covers boundary levels
+    ``0..d``, so a deeper forest — Algorithm 2 admits up to ``2^d - 1``
+    (the paper's ``D``) — bypasses the wrapper (counted in
     ``repro_minimize_depth_bypass_total``): its runs glue against
     partner values the refinement never saw, and applying the quotient
     there can change answers.
     """
-    if not minimize or d is None:
+    if not minimize:
         return automaton
-    if forest_depth is not None and forest_depth > d:
+    if forest_depth > d:
         _registry().counter(
             "repro_minimize_depth_bypass_total",
             "Runs whose elimination forest outgrew the minimization "
@@ -260,6 +245,153 @@ def _as_set(value: Any):
     return frozenset({value})
 
 
+@dataclass
+class CheckingRun:
+    """One Theorem 6.1 run: Algorithm 2, then one convergecast over its tree.
+
+    ``answer`` is what the pipeline's ``answer`` callback made of the
+    node outputs; it is ``None`` when Algorithm 2 refused the promise.
+    """
+
+    answer: Any
+    treedepth_exceeded: bool
+    total_rounds: int
+    elimination_rounds: int
+    checking_rounds: int
+    max_message_bits: int
+    num_classes: int
+    total_messages: int
+    minimized: bool
+
+    def totals(self, rounds_field: str) -> Dict[str, Any]:
+        """The result fields every pipeline shares, with the checking
+        rounds under the pipeline's own name ``rounds_field``."""
+        return {
+            "treedepth_exceeded": self.treedepth_exceeded,
+            "total_rounds": self.total_rounds,
+            "elimination_rounds": self.elimination_rounds,
+            rounds_field: self.checking_rounds,
+            "max_message_bits": self.max_message_bits,
+            "num_classes": self.num_classes,
+            "total_messages": self.total_messages,
+            "minimized": self.minimized,
+        }
+
+
+def run_checking(
+    automaton: TreeAutomaton,
+    graph: Graph,
+    d: int,
+    make_program: Callable[[TreeAutomaton, ClassCodec], Any],
+    cfg: RunConfig,
+    *,
+    phase: str,
+    answer: Callable[[Dict[Vertex, Any], DistributedEliminationResult], Any],
+    max_rounds: int,
+    assignment: Optional[Dict[sx.Var, Any]] = None,
+) -> CheckingRun:
+    """Theorem 6.1: Algorithm 2, then the convergecast ``make_program`` builds.
+
+    Decision, counting, optimization and optmarked differ only in what
+    the convergecast carries, so this one driver runs all of them.  When
+    a tracer is given (or installed), the run is attributed to the
+    ``elimination`` and ``phase`` harness phases with the protocols' finer
+    spans nested inside.  Both protocols share ``cfg``'s delivery order,
+    seed and fault adversary; ``cfg.retry`` wraps both in the
+    redundancy-lockstep synchronizer.  Any crash raises
+    :class:`~repro.errors.FaultToleranceExceeded`: an answer computed on a
+    partial network says nothing about the whole one.
+
+    This is the one place the minimization depth gate applies:
+    :func:`engine_automaton` sees the recovered forest's depth, and
+    ``minimized`` reports whether the quotient kernel actually ran.
+    """
+    tracer = resolve_tracer(cfg.trace)
+    elim = build_elimination_tree(
+        graph, d, budget=cfg.budget, tracer=tracer,
+        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
+        retry=cfg.retry,
+    )
+    if elim.crashed:
+        raise FaultToleranceExceeded(
+            f"nodes {sorted(map(repr, elim.crashed))} crashed during "
+            f"elimination; the {phase} run needs the whole network",
+            round=elim.rounds,
+        )
+    if not elim.accepted:
+        return CheckingRun(
+            answer=None,
+            treedepth_exceeded=True,
+            total_rounds=elim.rounds,
+            elimination_rounds=elim.rounds,
+            checking_rounds=0,
+            max_message_bits=elim.max_message_bits,
+            num_classes=0,
+            total_messages=elim.total_messages,
+            minimized=False,
+        )
+    inputs = node_inputs_from_elimination(
+        graph, elim, assignment, automaton.scope
+    )
+    codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
+    kernel = engine_automaton(
+        automaton,
+        minimize=cfg.minimize_enabled, d=d,
+        labels=graph_label_alphabet(graph),
+        forest_depth=max(
+            (out.depth for out in elim.outputs.values()), default=0
+        ),
+    )
+    program = make_program(kernel, codec)
+    budget = cfg.budget if cfg.budget is not None else default_budget(
+        graph.num_vertices()
+    )
+    if cfg.retry is not None:
+        from ..faults import reliable_program
+
+        program = reliable_program(program, cfg.retry)
+        budget = cfg.retry.physical_budget(budget)
+        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
+    with maybe_phase(tracer, phase):
+        result = run_protocol(
+            graph,
+            program,
+            inputs=inputs,
+            budget=budget,
+            max_rounds=max_rounds,
+            tracer=tracer,
+            inbox_order=cfg.inbox_order,
+            seed=cfg.seed,
+            faults=cfg.faults,
+        )
+    if result.crashed:
+        raise FaultToleranceExceeded(
+            f"nodes {sorted(map(repr, result.crashed))} crashed during the "
+            f"{phase} convergecast; its answer cannot be trusted",
+            round=result.rounds,
+        )
+    return CheckingRun(
+        answer=answer(result.outputs, elim),
+        treedepth_exceeded=False,
+        total_rounds=elim.rounds + result.rounds,
+        elimination_rounds=elim.rounds,
+        checking_rounds=result.rounds,
+        max_message_bits=max(
+            elim.max_message_bits, result.metrics.max_message_bits
+        ),
+        num_classes=codec.num_classes,
+        total_messages=elim.total_messages + result.metrics.total_messages,
+        minimized=kernel is not automaton,
+    )
+
+
+def unanimous_verdict(outputs: Dict[Vertex, Any], _elim: Any) -> bool:
+    """The verdict every node returned after the root's flood."""
+    if len(set(outputs.values())) != 1:
+        raise ProtocolError(f"verdicts disagree: {outputs}")
+    return bool(next(iter(outputs.values())))
+
+
 def decide_pipeline(
     formula_automaton: TreeAutomaton,
     graph: Graph,
@@ -278,11 +410,9 @@ def decide_pipeline(
     """Run the full pipeline: Algorithm 2, then the decision convergecast.
 
     ``formula_automaton`` must be compiled for the scope matching
-    ``assignment`` (empty scope for closed formulas).  When a tracer is
-    given (or installed), the run is attributed to the ``elimination`` and
-    ``decision`` harness phases with the protocols' finer spans nested
-    inside.  ``inbox_order`` / ``seed`` select an adversarial delivery
-    order for both phases (see :class:`~repro.congest.runtime.Simulation`).
+    ``assignment`` (empty scope for closed formulas).  ``inbox_order`` /
+    ``seed`` select an adversarial delivery order for both phases (see
+    :class:`~repro.congest.runtime.Simulation`).
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) subjects *both* phases
     to the same adversary; ``retry`` (a :class:`repro.faults.RetryPolicy`)
@@ -291,7 +421,7 @@ def decide_pipeline(
     :class:`~repro.errors.FaultToleranceExceeded` — a verdict must never
     be computed on a partial network, and with bounded transient loss plus
     ``retry`` the returned verdict equals the faultless one or the run
-    fails closed.
+    fails closed (see :func:`run_checking`).
 
     All execution knobs may instead be supplied as one validated
     ``config=`` :class:`~repro.runconfig.RunConfig` (mutually exclusive
@@ -308,87 +438,12 @@ def decide_pipeline(
         minimize=minimize,
         codec=codec,
     )
-    tracer = resolve_tracer(cfg.trace)
-    elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
+    run = run_checking(
+        formula_automaton, graph, d, decision_program, cfg,
+        phase="decision", answer=unanimous_verdict,
+        max_rounds=20 + 6 * (2 ** d) + 2 * graph.num_vertices(),
+        assignment=assignment,
     )
-    if elim.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, elim.crashed))} crashed during "
-            "elimination; a model-checking verdict needs the whole network",
-            round=elim.rounds,
-        )
-    if not elim.accepted:
-        return DistributedDecision(
-            accepted=False,
-            treedepth_exceeded=True,
-            total_rounds=elim.rounds,
-            elimination_rounds=elim.rounds,
-            checking_rounds=0,
-            max_message_bits=elim.max_message_bits,
-            num_classes=0,
-            total_messages=elim.total_messages,
-        )
-    scope = formula_automaton.scope
-    inputs = node_inputs_from_elimination(graph, elim, assignment, scope)
-    codec = cfg.codec if cfg.codec is not None else ClassCodec(formula_automaton)
-    labels = graph_label_alphabet(graph)
-    forest_depth = elimination_forest_depth(elim)
-    program = decision_program(
-        engine_automaton(
-            formula_automaton,
-            minimize=cfg.minimize_enabled, d=d,
-            labels=labels, forest_depth=forest_depth,
-        ),
-        codec,
-    )
-    minimized = (
-        cfg.minimize_enabled and forest_depth <= d
-        and minimization_stats(formula_automaton, d=d, labels=labels)
-        is not None
-    )
-    run_budget = cfg.budget if cfg.budget is not None else default_budget(
-        graph.num_vertices()
-    )
-    max_rounds = 20 + 6 * (2 ** d) + 2 * graph.num_vertices()
-    if cfg.retry is not None:
-        from ..faults import reliable_program
-
-        program = reliable_program(program, cfg.retry)
-        run_budget = cfg.retry.physical_budget(run_budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "decision"):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=run_budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
-    if result.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, result.crashed))} crashed during the "
-            "decision convergecast; the verdict cannot be trusted",
-            round=result.rounds,
-        )
-    outputs = result.outputs
-    if len(set(outputs.values())) != 1:
-        raise ProtocolError(f"verdicts disagree: {outputs}")
-    accepted = next(iter(outputs.values()))
     return DistributedDecision(
-        accepted=bool(accepted),
-        treedepth_exceeded=False,
-        total_rounds=elim.rounds + result.rounds,
-        elimination_rounds=elim.rounds,
-        checking_rounds=result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
-        num_classes=codec.num_classes,
-        total_messages=elim.total_messages + result.metrics.total_messages,
-        minimized=minimized,
+        accepted=bool(run.answer), **run.totals("checking_rounds")
     )

@@ -19,26 +19,29 @@ the "S is selected" output format of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.symbols import SymbolChoice, enumerate_symbol_choices
-from ..congest import Inbox, ItemCollector, NodeContext, node_program, run_protocol
-from ..errors import FaultToleranceExceeded, ProtocolError
+from ..congest import Inbox, ItemCollector, NodeContext, node_program
+from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
 from ..mso import syntax as sx
-from ..obs import Tracer, maybe_phase
+from ..obs import Tracer
 from ..runconfig import RunConfig
-from .elimination import build_elimination_tree
-from .model_checking import (
-    ClassCodec,
-    elimination_forest_depth,
+from .elimination import DistributedEliminationResult
+from .model_checking import ClassCodec, local_base_symbol, run_checking
+
+# run_checking makes these calls from .model_checking; the names stay
+# bound here because sessionbench/tracing.py patches each pipeline
+# module's build_elimination_tree, node_inputs_from_elimination,
+# engine_automaton and run_protocol by name.
+from ..congest import run_protocol  # noqa: F401
+from .elimination import build_elimination_tree  # noqa: F401
+from .model_checking import (  # noqa: F401
     engine_automaton,
-    graph_label_alphabet,
-    local_base_symbol,
-    minimization_stats,
     node_inputs_from_elimination,
-    resolve_tracer,
 )
 
 
@@ -244,7 +247,7 @@ def optimize_pipeline(
 
     ``automaton`` must be compiled with scope = (S,), the free set variable.
     ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
-    the same semantics as in :func:`.model_checking.decide_pipeline`: both
+    the same semantics as in :func:`.model_checking.run_checking`: both
     phases share the adversary, and any crash raises
     :class:`~repro.errors.FaultToleranceExceeded` — an optimum computed on
     a partial network proves nothing about the whole one.  All knobs may
@@ -263,103 +266,37 @@ def optimize_pipeline(
         minimize=minimize,
         codec=codec,
     )
-    tracer = resolve_tracer(cfg.trace)
-    elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
+    run = run_checking(
+        automaton, graph, d,
+        partial(optimization_program, maximize=maximize), cfg,
+        phase="optimization",
+        answer=partial(_selected_optimum, automaton.scope[0]),
+        max_rounds=500_000,  # runaway guard only; progression is data-driven
     )
-    if elim.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, elim.crashed))} crashed during "
-            "elimination; an optimum needs the whole network",
-            round=elim.rounds,
-        )
-    if not elim.accepted:
-        return DistributedOptimization(
-            feasible=False,
-            treedepth_exceeded=True,
-            value=None,
-            witness=frozenset(),
-            total_rounds=elim.rounds,
-            elimination_rounds=elim.rounds,
-            optimization_rounds=0,
-            max_message_bits=elim.max_message_bits,
-            num_classes=0,
-            total_messages=elim.total_messages,
-        )
-    inputs = node_inputs_from_elimination(graph, elim)
-    codec = cfg.codec if cfg.codec is not None else ClassCodec(automaton)
-    labels = graph_label_alphabet(graph)
-    forest_depth = elimination_forest_depth(elim)
-    program = optimization_program(
-        engine_automaton(
-            automaton,
-            minimize=cfg.minimize_enabled, d=d,
-            labels=labels, forest_depth=forest_depth,
-        ),
-        codec,
-        maximize,
+    feasible, value, witness = run.answer or (False, None, frozenset())
+    return DistributedOptimization(
+        feasible=feasible, value=value, witness=witness,
+        **run.totals("optimization_rounds"),
     )
-    minimized = (
-        cfg.minimize_enabled and forest_depth <= d
-        and minimization_stats(automaton, d=d, labels=labels) is not None
-    )
-    run_budget = cfg.budget
-    max_rounds = 500_000  # runaway guard only; progression is data-driven
-    if cfg.retry is not None:
-        from ..congest import default_budget
-        from ..faults import reliable_program
 
-        program = reliable_program(program, cfg.retry)
-        if run_budget is None:
-            run_budget = default_budget(graph.num_vertices())
-        run_budget = cfg.retry.physical_budget(run_budget)
-        max_rounds = cfg.retry.physical_max_rounds(max_rounds)
-    with maybe_phase(tracer, "optimization"):
-        result = run_protocol(
-            graph,
-            program,
-            inputs=inputs,
-            budget=run_budget,
-            max_rounds=max_rounds,
-            tracer=tracer,
-            inbox_order=cfg.inbox_order,
-            seed=cfg.seed,
-            faults=cfg.faults,
-        )
-    if result.crashed:
-        raise FaultToleranceExceeded(
-            f"nodes {sorted(map(repr, result.crashed))} crashed during the "
-            "optimization convergecast; the optimum cannot be trusted",
-            round=result.rounds,
-        )
-    selections: Dict[Vertex, NodeSelection] = result.outputs
-    feasible = all(sel.feasible for sel in selections.values())
+
+def _selected_optimum(
+    var: sx.Var,
+    selections: Dict[Vertex, NodeSelection],
+    elim: DistributedEliminationResult,
+) -> Tuple[bool, Optional[int], FrozenSet[Any]]:
+    """(feasible, optimum, witness) from every node's local selection."""
+    if not all(sel.feasible for sel in selections.values()):
+        return False, None, frozenset()
     witness: set = set()
     value: Optional[int] = None
-    if feasible:
-        for v, sel in selections.items():
-            if sel.optimum is not None:
-                value = sel.optimum
-            var = automaton.scope[0]
-            if var.sort.is_vertex_kind and sel.vertex_selected:
-                witness.add(v)
-            if not var.sort.is_vertex_kind:
-                bag = elim.outputs[v].bag
-                for pos in sel.edge_positions:
-                    witness.add(canonical_edge(bag[pos - 1], v))
-    return DistributedOptimization(
-        feasible=feasible,
-        treedepth_exceeded=False,
-        value=value,
-        witness=frozenset(witness),
-        total_rounds=elim.rounds + result.rounds,
-        elimination_rounds=elim.rounds,
-        optimization_rounds=result.rounds,
-        max_message_bits=max(elim.max_message_bits, result.metrics.max_message_bits),
-        num_classes=codec.num_classes,
-        total_messages=elim.total_messages + result.metrics.total_messages,
-        minimized=minimized,
-    )
-
+    for v, sel in selections.items():
+        if sel.optimum is not None:
+            value = sel.optimum
+        if var.sort.is_vertex_kind and sel.vertex_selected:
+            witness.add(v)
+        if not var.sort.is_vertex_kind:
+            bag = elim.outputs[v].bag
+            for pos in sel.edge_positions:
+                witness.add(canonical_edge(bag[pos - 1], v))
+    return True, value, frozenset(witness)
