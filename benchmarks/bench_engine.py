@@ -50,6 +50,7 @@ from repro.congest.parallel import run_sweep
 from repro.distributed import count_pipeline, decide_pipeline
 from repro.graph import generators as gen
 from repro.mso import formulas
+from repro.runconfig import RunConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,8 +77,8 @@ def _decide_cached(params, minimize=False):
         _decide_formula(), (), d=params["d"], labels=()
     )
     out = decide_pipeline(
-        automaton, _graph(params), params["d"], codec=codec,
-        minimize=minimize,
+        automaton, _graph(params), params["d"],
+        config=RunConfig(codec=codec, minimize=minimize),
     )
     return {"verdict": out.accepted, "rounds": out.total_rounds}
 
@@ -88,8 +89,8 @@ def _count_cached(params, minimize=False):
         formula, variables, d=params["d"], labels=()
     )
     out = count_pipeline(
-        automaton, _graph(params), params["d"], codec=codec,
-        minimize=minimize,
+        automaton, _graph(params), params["d"],
+        config=RunConfig(codec=codec, minimize=minimize),
     )
     return {"verdict": out.count, "rounds": out.total_rounds}
 

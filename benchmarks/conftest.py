@@ -8,10 +8,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 import reporting  # noqa: E402
 
 
-def pytest_sessionstart(session):
-    reporting.reset_results()
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     series = reporting.recorded_series()
     if not series:

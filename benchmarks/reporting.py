@@ -8,15 +8,20 @@ can reference stable artifacts.  Every table is also appended to
 ints, floats stay floats), so downstream tooling — plots, the
 ``repro bench`` gate, ad-hoc analysis — never has to re-parse the
 pretty-printed text.
+
+An experiment's two files are truncated by its first table of the
+process, so rerunning one experiment rewrites its own results and
+leaves every other experiment's files alone.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 _SERIES: List[Tuple[str, List[str]]] = []
+_STARTED: Set[str] = set()  # result stems already truncated this process
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -47,14 +52,16 @@ def record_table(
     _SERIES.append((f"{experiment}: {title}", lines))
     os.makedirs(RESULTS_DIR, exist_ok=True)
     stem = _result_stem(experiment)
+    fresh = stem not in _STARTED
+    _STARTED.add(stem)
     path = os.path.join(RESULTS_DIR, f"{stem}.txt")
-    with open(path, "a", encoding="utf-8") as handle:
+    with open(path, "w" if fresh else "a", encoding="utf-8") as handle:
         handle.write(f"== {title} ==\n")
         handle.write("\n".join(lines))
         handle.write("\n\n")
     json_path = os.path.join(RESULTS_DIR, f"{stem}.json")
     tables = []
-    if os.path.exists(json_path):
+    if not fresh and os.path.exists(json_path):
         try:
             with open(json_path, encoding="utf-8") as handle:
                 tables = json.load(handle).get("tables", [])
@@ -90,11 +97,3 @@ def record_phase_table(experiment: str, title: str, tracer) -> None:
 
 def recorded_series() -> List[Tuple[str, List[str]]]:
     return list(_SERIES)
-
-
-def reset_results() -> None:
-    """Truncate old result files at session start (idempotent runs)."""
-    if os.path.isdir(RESULTS_DIR):
-        for name in os.listdir(RESULTS_DIR):
-            if name.endswith((".txt", ".json")):
-                os.remove(os.path.join(RESULTS_DIR, name))

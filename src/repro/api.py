@@ -22,9 +22,6 @@ A session compiles formulas through the process-wide
 :class:`~repro.algebra.cache.AutomatonCache` (transition tables and class
 ids persist across processes) and runs every protocol on the one round
 scheduler of :class:`repro.congest.Simulation`.
-The legacy PR-4 entry points (``repro.distributed.decide``,
-``optimize_distributed``, ``count_distributed``) are gone; every caller
-goes through a Session or a ``*_pipeline`` function.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from .obs import Tracer
 from .obs.export import phase_table_rows
 from .obs.registry import collect_run
 from .obs.reports import RunReport, RunStore, build_report
-from .runconfig import RunConfig
+from .runconfig import RunConfig, resolve_tracer
 
 __all__ = ["Result", "RunConfig", "Session"]
 
@@ -185,29 +182,12 @@ class Session:
         The network (must be connected for the CONGEST protocols).
     d:
         The treedepth promise handed to Algorithm 2.
-    faults / retry:
-        A :class:`repro.faults.FaultPlan` adversary and/or a
-        :class:`repro.faults.RetryPolicy` reliability layer, applied to
-        every protocol phase (ignored by ``certify``, whose prover is
-        centralized and whose verifier is a single round).
-    trace:
-        ``True`` to record a fresh :class:`repro.obs.Tracer` (exposed as
-        ``session.tracer``), or a Tracer instance to record into.
-    seed / inbox_order:
-        The simulator's adversarial delivery knobs (see
-        :class:`repro.congest.Simulation`).
-    budget:
-        Per-edge per-round bit budget override (default O(log n)).
-    minimize:
-        ``False`` opts out of the kernel state-space reduction passes
-        (:mod:`repro.algebra.minimize`).  The default ``None`` applies
-        them; when they succeed the per-workload
-        :class:`~repro.obs.reports.RunReport` carries the before/after
-        state counts.
-    cache:
-        An :class:`~repro.algebra.cache.AutomatonCache`; defaults to the
-        process-wide persistent cache.  Compiled automata and class ids
-        are shared across sessions and processes.
+    faults / retry / trace / seed / inbox_order / budget / minimize / cache:
+        The :class:`~repro.runconfig.RunConfig` fields, documented there;
+        or pass them whole as ``config=`` (never both).  ``certify``
+        ignores ``faults`` and ``retry`` (its prover is centralized, its
+        verifier one round).  The resolved tracer is ``session.tracer``;
+        ``cache`` defaults to the process-wide persistent cache.
     record:
         ``True`` to append each workload's
         :class:`~repro.obs.reports.RunReport` to the default run store
@@ -245,23 +225,14 @@ class Session:
         )
         self.graph = graph
         self.d = d
-        self.faults = self.config.faults
-        self.retry = self.config.retry
-        self.seed = self.config.seed
-        self.inbox_order = self.config.inbox_order
-        self.budget = self.config.budget
-        self.minimize = self.config.minimize
         self.cache = (
             self.config.cache if self.config.cache is not None
             else default_cache()
         )
         self.record = record
-        if self.config.trace is True:
-            self.tracer: Optional[Tracer] = Tracer()
-        elif isinstance(self.config.trace, Tracer):
-            self.tracer = self.config.trace
-        else:
-            self.tracer = None
+        self.tracer: Optional[Tracer] = (
+            resolve_tracer(self.config.trace) if self.config.trace else None
+        )
 
     # -- shared plumbing -------------------------------------------------
 

@@ -1,8 +1,8 @@
 """The paper's distributed protocols (Algorithm 2, Theorem 6.1, §6-7).
 
-The deprecated PR-4 aliases (``decide``, ``optimize_distributed``,
-``count_distributed``) are gone; use :class:`repro.api.Session` or the
-``*_pipeline`` functions (see ``docs/api.md``).
+Every entry point here takes its run settings as one keyword-only
+``config=`` :class:`~repro.runconfig.RunConfig`; :class:`repro.api.Session`
+is the keyword surface over them (see ``docs/api.md``).
 """
 
 from .baselines import BaselineDecision, gather_decide

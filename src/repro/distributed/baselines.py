@@ -20,6 +20,7 @@ from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 from ..congest import Inbox, NodeContext, node_program, ordered_inbox, run_protocol
 from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
+from ..runconfig import RunConfig, resolve_tracer
 
 
 def gather_and_decide_program(decide: Callable[[Graph], bool]):
@@ -76,18 +77,28 @@ class BaselineDecision:
 def gather_decide(
     graph: Graph,
     decide: Callable[[Graph], bool],
-    budget: Optional[int] = None,
+    *,
+    config: Optional[RunConfig] = None,
 ) -> BaselineDecision:
-    """Run the baseline on ``graph`` with local decision rule ``decide``."""
+    """Run the baseline on ``graph`` with local decision rule ``decide``.
+
+    Of ``config`` (default ``RunConfig()``) only the budget, delivery
+    order, seed, fault plan and tracer apply to this protocol.
+    """
     if not graph.is_connected():
         raise ProtocolError("CONGEST requires a connected network")
+    cfg = config or RunConfig()
     inputs = {v: {"m": graph.num_edges()} for v in graph.vertices()}
     result = run_protocol(
         graph,
         gather_and_decide_program(decide),
         inputs=inputs,
-        budget=budget,
+        budget=cfg.budget,
         max_rounds=50 + 4 * graph.num_edges() + 2 * graph.num_vertices(),
+        tracer=resolve_tracer(cfg.trace),
+        inbox_order=cfg.inbox_order,
+        seed=cfg.seed,
+        faults=cfg.faults,
     )
     verdicts = set(result.outputs.values())
     if len(verdicts) != 1:

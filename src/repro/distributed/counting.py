@@ -19,7 +19,6 @@ from ..algebra.symbols import enumerate_symbol_choices
 from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
-from ..obs import Tracer
 from ..runconfig import RunConfig
 from .model_checking import ClassCodec, local_base_symbol, run_checking
 
@@ -144,39 +143,20 @@ def count_pipeline(
     automaton: TreeAutomaton,
     graph: Graph,
     d: int,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
-    minimize: Optional[bool] = None,
-    codec: Optional[ClassCodec] = None,
+    *,
     config: Optional[RunConfig] = None,
 ) -> DistributedCount:
     """Run Algorithm 2 followed by the counting convergecast.
 
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
-    the same semantics as in :func:`.model_checking.run_checking`; any
-    crash raises :class:`~repro.errors.FaultToleranceExceeded` — a count
-    over a partial network is not the count.  All knobs may instead come
-    as one ``config=`` :class:`~repro.runconfig.RunConfig`.
+    ``config`` (default ``RunConfig()``) has the same semantics as in
+    :func:`.model_checking.run_checking`; any crash raises
+    :class:`~repro.errors.FaultToleranceExceeded` — a count over a
+    partial network is not the count.
     """
     if not automaton.scope:
         raise ProtocolError("counting needs at least one free variable")
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-        minimize=minimize,
-        codec=codec,
-    )
     run = run_checking(
-        automaton, graph, d, counting_program, cfg,
+        automaton, graph, d, counting_program, config,
         phase="counting", answer=_root_count, max_rounds=500_000,
     )
     return DistributedCount(count=run.answer, **run.totals("counting_rounds"))

@@ -23,7 +23,8 @@ from ..congest import Inbox, NodeContext, node_program, run_protocol
 from ..errors import ProtocolError
 from ..expansion import LowTreedepthDecomposition
 from ..graph import Graph, Vertex
-from ..obs import Tracer, current_tracer, maybe_phase
+from ..obs import maybe_phase
+from ..runconfig import RunConfig, resolve_tracer
 
 
 @node_program(rounds="10")
@@ -67,21 +68,18 @@ def grid_decomposition_distributed(
     rows: int,
     cols: int,
     p: int,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: str = "arrival",
-    seed: Optional[int] = None,
-    faults=None,
+    *,
+    config: Optional[RunConfig] = None,
 ) -> DistributedDecompositionResult:
     """Run the O(1)-round distributed residue coloring on a grid network.
 
     ``graph`` must be the rows x cols grid with vertex ids r*cols + c (the
     :func:`repro.graph.generators.grid` convention, which fixes each node's
-    coordinates as its local input).  ``inbox_order`` / ``seed`` /
-    ``faults`` select an adversarial delivery order and fault plan (see
-    :class:`~repro.congest.runtime.Simulation`); a node whose verification
-    inbox was corrupted or depleted by faults reports ``None`` and the
-    decomposition is rejected rather than silently wrong.
+    coordinates as its local input).  Of ``config`` (default
+    ``RunConfig()``) only the budget, delivery order, seed, fault plan and
+    tracer apply.  A node whose verification inbox was corrupted or
+    depleted by faults reports ``None`` and the decomposition is rejected
+    rather than silently wrong.
     """
     if graph.num_vertices() != rows * cols:
         raise ProtocolError("graph does not match the announced grid shape")
@@ -90,18 +88,19 @@ def grid_decomposition_distributed(
         for r in range(rows)
         for c in range(cols)
     }
-    tracer = tracer if tracer is not None else current_tracer()
+    cfg = config or RunConfig()
+    tracer = resolve_tracer(cfg.trace)
     with maybe_phase(tracer, "decomposition"):
         result = run_protocol(
             graph,
             grid_coloring_program,
             inputs=inputs,
-            budget=budget,
+            budget=cfg.budget,
             max_rounds=10,
             tracer=tracer,
-            inbox_order=inbox_order,
-            seed=seed,
-            faults=faults,
+            inbox_order=cfg.inbox_order,
+            seed=cfg.seed,
+            faults=cfg.faults,
         )
     if result.crashed or any(
         color is None for color in result.outputs.values()

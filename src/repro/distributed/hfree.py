@@ -28,6 +28,7 @@ from ..errors import ProtocolError
 from ..expansion import LowTreedepthDecomposition, union_graph
 from ..graph import Graph
 from ..mso import formulas
+from ..runconfig import RunConfig
 from .model_checking import decide_pipeline
 
 
@@ -52,13 +53,15 @@ def decide_h_freeness(
     pattern: Graph,
     decomposition: LowTreedepthDecomposition,
     decomposition_round_constant: int = 1,
-    budget: Optional[int] = None,
+    *,
+    config: Optional[RunConfig] = None,
 ) -> HFreenessResult:
     """Decide whether ``graph`` is ``pattern``-free using ``decomposition``.
 
     ``pattern`` must be connected (the corollary's hypothesis).
     ``decomposition_round_constant`` scales the charged O(log n) cost of
     the distributed decomposition (Theorem 7.2's hidden constant).
+    ``config`` is handed to every per-piece :func:`decide_pipeline` run.
     """
     if not pattern.is_connected():
         raise ProtocolError("Corollary 7.3 requires a connected pattern H")
@@ -98,7 +101,7 @@ def decide_h_freeness(
             outcome = None
             attempt_rounds = 0
             for d in range(1, bound + 1):
-                outcome = decide_pipeline(automaton, piece, d=d, budget=budget)
+                outcome = decide_pipeline(automaton, piece, d=d, config=config)
                 attempt_rounds += outcome.total_rounds
                 if not outcome.treedepth_exceeded:
                     break

@@ -162,15 +162,19 @@ def optmarked_distributed(
     d: int,
     marked: FrozenSet[Any],
     maximize: bool = True,
-    budget: Optional[int] = None,
+    *,
+    config: Optional[RunConfig] = None,
 ) -> DistributedOptMarked:
-    """Is ``marked`` an optimum solution of φ(S)?  (automaton scope = (S,))"""
+    """Is ``marked`` an optimum solution of φ(S)?  (automaton scope = (S,))
+
+    Runs under ``config`` (default ``RunConfig()``) with ``minimize=False``.
+    """
     if len(automaton.scope) != 1 or not automaton.scope[0].sort.is_set:
         raise ProtocolError("optmarked needs scope = one free set variable")
     run = run_checking(
         automaton, graph, d,
         partial(optmarked_program, maximize=maximize),
-        RunConfig(budget=budget, minimize=False),
+        (config or RunConfig()).with_overrides(minimize=False),
         phase="optmarked", answer=unanimous_verdict, max_rounds=500_000,
         assignment={automaton.scope[0]: frozenset(marked)},
     )

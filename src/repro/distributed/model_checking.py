@@ -33,7 +33,7 @@ from ..congest import Inbox, NodeContext, default_budget, node_program, run_prot
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
 from ..mso import syntax as sx
-from ..obs import Tracer, maybe_phase
+from ..obs import maybe_phase
 from ..obs.registry import registry as _registry
 from ..runconfig import RunConfig, resolve_tracer
 from .elimination import DistributedEliminationResult, build_elimination_tree
@@ -283,7 +283,7 @@ def run_checking(
     graph: Graph,
     d: int,
     make_program: Callable[[TreeAutomaton, ClassCodec], Any],
-    cfg: RunConfig,
+    config: Optional[RunConfig],
     *,
     phase: str,
     answer: Callable[[Dict[Vertex, Any], DistributedEliminationResult], Any],
@@ -296,9 +296,11 @@ def run_checking(
     the convergecast carries, so this one driver runs all of them.  When
     a tracer is given (or installed), the run is attributed to the
     ``elimination`` and ``phase`` harness phases with the protocols' finer
-    spans nested inside.  Both protocols share ``cfg``'s delivery order,
-    seed and fault adversary; ``cfg.retry`` wraps both in the
-    redundancy-lockstep synchronizer.  Any crash raises
+    spans nested inside; Algorithm 2 receives the resolved tracer, so
+    both phases record into the same one.  Both protocols share
+    ``config``'s (default ``RunConfig()``) delivery order, seed and fault
+    adversary; its retry policy wraps both in the redundancy-lockstep
+    synchronizer.  Any crash raises
     :class:`~repro.errors.FaultToleranceExceeded`: an answer computed on a
     partial network says nothing about the whole one.
 
@@ -306,11 +308,10 @@ def run_checking(
     :func:`engine_automaton` sees the recovered forest's depth, and
     ``minimized`` reports whether the quotient kernel actually ran.
     """
+    cfg = config or RunConfig()
     tracer = resolve_tracer(cfg.trace)
     elim = build_elimination_tree(
-        graph, d, budget=cfg.budget, tracer=tracer,
-        inbox_order=cfg.inbox_order, seed=cfg.seed, faults=cfg.faults,
-        retry=cfg.retry,
+        graph, d, config=cfg.with_overrides(trace=tracer)
     )
     if elim.crashed:
         raise FaultToleranceExceeded(
@@ -397,49 +398,24 @@ def decide_pipeline(
     graph: Graph,
     d: int,
     assignment: Optional[Dict[sx.Var, Any]] = None,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
-    minimize: Optional[bool] = None,
-    codec: Optional[ClassCodec] = None,
+    *,
     config: Optional[RunConfig] = None,
 ) -> DistributedDecision:
     """Run the full pipeline: Algorithm 2, then the decision convergecast.
 
     ``formula_automaton`` must be compiled for the scope matching
-    ``assignment`` (empty scope for closed formulas).  ``inbox_order`` /
-    ``seed`` select an adversarial delivery order for both phases (see
-    :class:`~repro.congest.runtime.Simulation`).
-
-    ``faults`` (a :class:`repro.faults.FaultPlan`) subjects *both* phases
-    to the same adversary; ``retry`` (a :class:`repro.faults.RetryPolicy`)
-    wraps both protocols in the redundancy-lockstep synchronizer.  The
-    decision requires every node alive end to end: any crash raises
+    ``assignment`` (empty scope for closed formulas).  ``config``
+    (default ``RunConfig()``) holds every execution knob; its delivery
+    order, seed and fault plan apply to *both* phases and its retry
+    policy wraps both protocols in the redundancy-lockstep synchronizer.
+    The decision requires every node alive end to end: any crash raises
     :class:`~repro.errors.FaultToleranceExceeded` — a verdict must never
     be computed on a partial network, and with bounded transient loss plus
-    ``retry`` the returned verdict equals the faultless one or the run
-    fails closed (see :func:`run_checking`).
-
-    All execution knobs may instead be supplied as one validated
-    ``config=`` :class:`~repro.runconfig.RunConfig` (mutually exclusive
-    with the individual keywords).
+    a retry policy the returned verdict equals the faultless one or the
+    run fails closed (see :func:`run_checking`).
     """
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-        minimize=minimize,
-        codec=codec,
-    )
     run = run_checking(
-        formula_automaton, graph, d, decision_program, cfg,
+        formula_automaton, graph, d, decision_program, config,
         phase="decision", answer=unanimous_verdict,
         max_rounds=20 + 6 * (2 ** d) + 2 * graph.num_vertices(),
         assignment=assignment,

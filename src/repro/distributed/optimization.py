@@ -28,7 +28,6 @@ from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
 from ..mso import syntax as sx
-from ..obs import Tracer
 from ..runconfig import RunConfig
 from .elimination import DistributedEliminationResult
 from .model_checking import ClassCodec, local_base_symbol, run_checking
@@ -233,42 +232,23 @@ def optimize_pipeline(
     graph: Graph,
     d: int,
     maximize: bool = True,
-    budget: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    inbox_order: Optional[str] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    retry=None,
-    minimize: Optional[bool] = None,
-    codec: Optional[ClassCodec] = None,
+    *,
     config: Optional[RunConfig] = None,
 ) -> DistributedOptimization:
     """Run Algorithm 2 followed by the optimization protocol.
 
     ``automaton`` must be compiled with scope = (S,), the free set variable.
-    ``inbox_order`` / ``seed`` / ``faults`` / ``retry`` have
-    the same semantics as in :func:`.model_checking.run_checking`: both
-    phases share the adversary, and any crash raises
-    :class:`~repro.errors.FaultToleranceExceeded` — an optimum computed on
-    a partial network proves nothing about the whole one.  All knobs may
-    instead come as one ``config=`` :class:`~repro.runconfig.RunConfig`.
+    ``config`` (default ``RunConfig()``) has the same semantics as in
+    :func:`.model_checking.run_checking`: both phases share the adversary,
+    and any crash raises :class:`~repro.errors.FaultToleranceExceeded` —
+    an optimum computed on a partial network proves nothing about the
+    whole one.
     """
     if len(automaton.scope) != 1 or not automaton.scope[0].sort.is_set:
         raise ProtocolError("optimization needs scope = one free set variable")
-    cfg = RunConfig.from_kwargs(
-        config,
-        budget=budget,
-        trace=tracer,
-        inbox_order=inbox_order,
-        seed=seed,
-        faults=faults,
-        retry=retry,
-        minimize=minimize,
-        codec=codec,
-    )
     run = run_checking(
         automaton, graph, d,
-        partial(optimization_program, maximize=maximize), cfg,
+        partial(optimization_program, maximize=maximize), config,
         phase="optimization",
         answer=partial(_selected_optimum, automaton.scope[0]),
         max_rounds=500_000,  # runaway guard only; progression is data-driven

@@ -1,12 +1,13 @@
 """One frozen configuration object for every execution surface.
 
-Every pipeline in :mod:`repro.distributed` and the :class:`repro.api.Session`
-facade share the same execution knobs — seed, inbox order, fault plan,
-retry policy, bit budget, minimization, tracing, automaton cache, class
-codec.  :class:`RunConfig` is the single place those knobs are named and
-validated; the keyword surfaces all funnel through
-:meth:`RunConfig.from_kwargs`, so an invalid ``inbox_order=`` fails
-identically everywhere.
+Every entry point in :mod:`repro.distributed` and the
+:class:`repro.api.Session` facade share the same execution knobs — seed,
+inbox order, fault plan, retry policy, bit budget, minimization, tracing,
+automaton cache, class codec.  :class:`RunConfig` is the single place
+those knobs are named and validated: the distributed entry points take
+one keyword-only ``config=`` (``None`` means ``RunConfig()``), and
+``Session`` — the one keyword surface — funnels its keywords through
+:meth:`RunConfig.from_kwargs`.
 
 ``to_json`` / ``from_json`` are the replay contract:
 ``Result.replay_args`` and fuzz-corpus replay files store exactly this
@@ -54,7 +55,7 @@ LEGACY_ENGINES = ("naive", "batched", "vectorized")
 class RunConfig:
     """Validated execution knobs shared by Session and every pipeline.
 
-    Parameters mirror the keyword arguments of Session and the pipelines:
+    Parameters mirror the keyword arguments of Session:
 
     * ``seed`` / ``inbox_order`` — the simulator's adversarial delivery
       knobs (see :class:`repro.congest.Simulation`);
@@ -106,7 +107,7 @@ class RunConfig:
         config: Optional["RunConfig"] = None,
         **kwargs: Any,
     ) -> "RunConfig":
-        """Normalize a kwargs surface into one validated config.
+        """Normalize Session's keyword surface into one validated config.
 
         ``config`` (when given) is taken whole; keyword arguments must
         then all be ``None`` — mixing both surfaces would make it

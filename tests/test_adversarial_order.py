@@ -11,6 +11,7 @@ from repro.distributed import build_elimination_tree, decide_pipeline
 from repro.errors import CongestError, PayloadTypeError
 from repro.graph import generators as gen
 from repro.mso import formulas
+from repro.runconfig import RunConfig
 from repro.treedepth import treedepth
 
 SEEDS = [1, 7, 1234]
@@ -36,7 +37,7 @@ def test_elimination_tree_invariant_under_shuffle():
         }
         for seed in SEEDS:
             shuffled = build_elimination_tree(
-                g, d, inbox_order="shuffle", seed=seed
+                g, d, config=RunConfig(inbox_order="shuffle", seed=seed)
             )
             assert shuffled.accepted
             assert {
@@ -53,7 +54,8 @@ def test_decision_invariant_under_adversarial_orders(order):
         baseline = decide_pipeline(automaton, g, d=d)
         for seed in SEEDS:
             outcome = decide_pipeline(
-                automaton, g, d=d, inbox_order=order, seed=seed
+                automaton, g, d=d,
+                config=RunConfig(inbox_order=order, seed=seed),
             )
             assert outcome.accepted == baseline.accepted
             assert outcome.total_rounds == baseline.total_rounds

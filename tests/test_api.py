@@ -8,7 +8,7 @@ reproduce the verdict *and* the fault trace exactly.
 
 import pytest
 
-from repro.api import Result, Session
+from repro.api import Result, RunConfig, Session
 from repro.distributed import decide_pipeline
 from repro.errors import ReproError
 from repro.faults import FaultPlan, RetryPolicy
@@ -37,7 +37,9 @@ def test_decide_matches_naive_pipeline(network):
     automaton, codec = session.cache.automaton_with_codec(
         formulas.triangle_free(), (), d=3, labels=()
     )
-    baseline = decide_pipeline(automaton, network, 3, codec=codec)
+    baseline = decide_pipeline(
+        automaton, network, 3, config=RunConfig(codec=codec)
+    )
     assert result.verdict == baseline.accepted
     assert result.rounds == baseline.total_rounds
     assert result.phase_rounds["elimination"] + result.phase_rounds["checking"] \
@@ -151,6 +153,10 @@ def test_session_trace_knob(network):
     mine = Tracer()
     assert Session(network, d=3, trace=mine).tracer is mine
     assert Session(network, d=3).tracer is None
+    # One decide records Algorithm 2 and the convergecast into ``mine``.
+    Session(network, d=3, trace=mine).decide(formulas.triangle_free())
+    phases = {path.split("/")[0] for path, _ in mine.phase_rows()}
+    assert {"elimination", "decision"} <= phases
 
 
 def test_engines_agree_through_facade(network):

@@ -16,6 +16,8 @@ from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph import properties as props
 from repro.mso import edge_set, evaluate, formulas, vertex_set
+from repro.obs import Tracer
+from repro.runconfig import RunConfig
 from repro.treedepth import treedepth
 
 
@@ -300,3 +302,15 @@ def test_gather_baseline_rounds_grow_with_size():
     small = gather_decide(gen.path(8), props.is_acyclic)
     large = gather_decide(gen.path(40), props.is_acyclic)
     assert large.rounds > small.rounds
+
+
+def test_gather_baseline_takes_run_config():
+    # The baseline's delivery order, seed and tracer come from config=.
+    tracer = Tracer()
+    plain = gather_decide(gen.path(8), props.is_acyclic)
+    shuffled = gather_decide(
+        gen.path(8), props.is_acyclic,
+        config=RunConfig(inbox_order="shuffle", seed=3, trace=tracer),
+    )
+    assert (shuffled.accepted, shuffled.rounds) == (plain.accepted, plain.rounds)
+    assert tracer.total_rounds() == plain.rounds

@@ -39,6 +39,7 @@ from repro.faults import (
 from repro.graph import generators as gen
 from repro.mso import formulas, vertex_set
 from repro.obs import FAULT_EVENT_KINDS, Tracer, read_events, write_jsonl
+from repro.runconfig import RunConfig
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +215,9 @@ CRASH_ROOT = min(CRASH_GRAPH.vertices())  # min id wins leader election
 def test_single_crash_never_silently_wrong(victim, at_round):
     plan = FaultPlan(crashes=(CrashFault(node=victim, at_round=at_round),))
     try:
-        result = build_elimination_tree(CRASH_GRAPH, 3, faults=plan)
+        result = build_elimination_tree(
+            CRASH_GRAPH, 3, config=RunConfig(faults=plan)
+        )
     except FaultToleranceExceeded:
         return  # failing closed is an allowed outcome
     assert result.crashed == {victim: at_round}
@@ -235,15 +238,15 @@ _TRIANGLES, _TRIANGLE_SCOPE = formulas.triangle_assignment()
 PIPELINES = {
     "decide": lambda faults: decide_pipeline(
         compile_formula(formulas.triangle_free()), PIPELINE_GRAPH, 3,
-        faults=faults,
+        config=RunConfig(faults=faults),
     ),
     "count": lambda faults: count_pipeline(
         compile_with_singletons(_TRIANGLES, _TRIANGLE_SCOPE),
-        PIPELINE_GRAPH, 3, faults=faults,
+        PIPELINE_GRAPH, 3, config=RunConfig(faults=faults),
     ),
     "optimize": lambda faults: optimize_pipeline(
         compile_formula(formulas.independent_set(_S), (_S,)),
-        PIPELINE_GRAPH, 3, faults=faults,
+        PIPELINE_GRAPH, 3, config=RunConfig(faults=faults),
     ),
 }
 

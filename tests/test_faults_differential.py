@@ -24,6 +24,7 @@ from repro.errors import FaultToleranceExceeded
 from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import generators as gen
 from repro.mso import formulas, semantics
+from repro.runconfig import RunConfig
 
 
 @node_program
@@ -107,8 +108,10 @@ def test_lossy_decide_agrees_or_fails_closed(net, idx, drop, fault_seed,
     plan = FaultPlan(seed=fault_seed, drop_rate=drop)
     retry = RetryPolicy(attempts=attempts)
     try:
-        outcome = decide_pipeline(DIFF_AUTOMATA[idx], graph, d=depth,
-                         faults=plan, retry=retry)
+        outcome = decide_pipeline(
+            DIFF_AUTOMATA[idx], graph, d=depth,
+            config=RunConfig(faults=plan, retry=retry),
+        )
     except FaultToleranceExceeded:
         return  # failing closed is within the contract
     assert not outcome.treedepth_exceeded

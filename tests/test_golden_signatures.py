@@ -45,6 +45,7 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.graph import generators as gen
 from repro.graph import properties as props
 from repro.mso import formulas, vertex_set
+from repro.runconfig import RunConfig
 from repro.testkit.corpus import iter_corpus
 
 HERE = Path(__file__).parent
@@ -127,8 +128,8 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
 
     def decided(**knobs) -> Signature:
         out = decide_pipeline(
-            compile_formula(formulas.triangle_free()), graph, 3, seed=1,
-            **knobs,
+            compile_formula(formulas.triangle_free()), graph, 3,
+            config=RunConfig(seed=1, **knobs),
         )
         return {
             "verdict": out.accepted, "rounds": out.total_rounds,
@@ -140,7 +141,7 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
     def optimized(**knobs) -> Signature:
         out = optimize_pipeline(
             compile_formula(formulas.independent_set(s), (s,)), graph, 3,
-            seed=1, **knobs,
+            config=RunConfig(seed=1, **knobs),
         )
         return {
             "verdict": out.feasible, "value": out.value,
@@ -153,7 +154,7 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
     def counted(**knobs) -> Signature:
         out = count_pipeline(
             compile_with_singletons(triangles, triangle_scope), graph, 3,
-            seed=1, **knobs,
+            config=RunConfig(seed=1, **knobs),
         )
         return {
             "count": out.count, "rounds": out.total_rounds,
@@ -175,7 +176,7 @@ def _pipeline_runs() -> List[Tuple[str, Callable[[], Signature]]]:
         return signatures
 
     def eliminated() -> Signature:
-        out = build_elimination_tree(graph, 3, seed=1)
+        out = build_elimination_tree(graph, 3, config=RunConfig(seed=1))
         return {
             "verdict": out.accepted, "rounds": out.rounds,
             "messages": out.total_messages,

@@ -318,16 +318,22 @@ def test_benchmark_reporting_emits_typed_json(tmp_path, monkeypatch):
     import importlib.util
     import pathlib
 
-    spec = importlib.util.spec_from_file_location(
-        "bench_reporting",
-        pathlib.Path(__file__).parent.parent / "benchmarks" / "reporting.py",
-    )
-    reporting = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reporting)
-    monkeypatch.setattr(reporting, "RESULTS_DIR", str(tmp_path))
+    def fresh_session():
+        spec = importlib.util.spec_from_file_location(
+            "bench_reporting",
+            pathlib.Path(__file__).parent.parent / "benchmarks"
+            / "reporting.py",
+        )
+        reporting = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reporting)
+        monkeypatch.setattr(reporting, "RESULTS_DIR", str(tmp_path))
+        return reporting
+
+    reporting = fresh_session()
     reporting.record_table("E9", "demo", ("n", "rounds", "speedup"),
                            [(8, 100, 2.5), (12, 150, 3.0)])
     reporting.record_table("E9", "more", ("k",), [("x",)])
+    reporting.record_table("E1", "other", ("k",), [("y",)])
     assert (tmp_path / "e9.txt").exists()
     data = json.loads((tmp_path / "e9.json").read_text())
     assert data["experiment"] == "E9"
@@ -335,8 +341,15 @@ def test_benchmark_reporting_emits_typed_json(tmp_path, monkeypatch):
     rows = data["tables"][0]["rows"]
     assert rows == [[8, 100, 2.5], [12, 150, 3.0]]
     assert isinstance(rows[0][0], int) and isinstance(rows[0][2], float)
-    reporting.reset_results()
-    assert not list(tmp_path.iterdir())
+
+    # A later run of one experiment rewrites only that experiment's files.
+    other = (tmp_path / "e1.txt").read_text()
+    fresh_session().record_table("E9", "again", ("k",), [("z",)])
+    data = json.loads((tmp_path / "e9.json").read_text())
+    assert [t["title"] for t in data["tables"]] == ["again"]
+    assert (tmp_path / "e9.txt").read_text().startswith("== again ==")
+    assert (tmp_path / "e1.txt").read_text() == other
+    assert (tmp_path / "e1.json").exists()
 
 
 # ----------------------------------------------------------------------

@@ -126,8 +126,8 @@ def test_session_accepts_config():
     g = gen.random_bounded_treedepth(12, 3, seed=4)
     cfg = RunConfig(seed=5, inbox_order="reversed", minimize=False)
     session = Session(g, 3, config=cfg)
-    assert session.minimize is False
-    assert session.seed == 5
+    assert session.config.minimize is False
+    assert session.config.seed == 5
     result = session.decide(formulas.triangle_free())
     assert isinstance(result, Result)
     assert result.replay_args["inbox_order"] == "reversed"
@@ -160,13 +160,12 @@ def test_pipelines_accept_config():
     automaton = compile_formula(formulas.triangle_free())
     cfg = RunConfig(seed=2, inbox_order="reversed")
     via_config = decide_pipeline(automaton, g, 3, config=cfg)
-    via_kwargs = decide_pipeline(
-        automaton, g, 3, seed=2, inbox_order="reversed"
+    # Session is the keyword surface; it hands the same config down.
+    via_kwargs = Session(g, 3, seed=2, inbox_order="reversed").decide(
+        formulas.triangle_free()
     )
-    assert via_config.accepted == via_kwargs.accepted  # pipeline result field
-    assert via_config.total_rounds == via_kwargs.total_rounds
-    with pytest.raises(ReproError, match="not both"):
-        decide_pipeline(automaton, g, 3, seed=2, config=cfg)
+    assert via_config.accepted == via_kwargs.verdict  # pipeline result field
+    assert via_config.total_rounds == via_kwargs.rounds
 
 
 def test_unknown_engine_everywhere():
@@ -182,3 +181,6 @@ def test_unknown_engine_everywhere():
             decide_pipeline(automaton, g, 2, engine=engine)
         with pytest.raises(TypeError):
             run_protocol(g, lambda ctx: iter(()), engine=engine)
+    # Nor are the other knobs: pipelines take them as one config=.
+    with pytest.raises(TypeError):
+        decide_pipeline(automaton, g, 2, seed=1)
