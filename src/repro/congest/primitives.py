@@ -8,7 +8,7 @@ the paper's early-abort behavior obtained by passing a 2^d round bound.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Generator, Iterable, List, Optional, Set, Tuple
 
 from ..errors import FaultToleranceExceeded, ProtocolError
 from ..graph import Vertex
@@ -36,28 +36,44 @@ def idle(ctx: NodeContext, rounds: int) -> Generator[None, Inbox, None]:
 
 def leader_election(
     ctx: NodeContext, participating: bool, rounds: int
-) -> Generator[None, Inbox, Optional[Vertex]]:
+) -> Generator[None, Inbox, Tuple[Optional[Vertex], FrozenSet[Vertex]]]:
     """Min-id flooding among participating nodes for exactly ``rounds`` rounds.
 
-    Returns the minimum id seen, i.e. the leader of the participant's
-    component of G[U] (provided ``rounds`` is at least that component's
-    diameter); ``None`` for non-participants.  Only participants emit
-    ``("lead", id)`` messages, so floods cannot leak across components of
-    G[U] even though the physical network is connected.
+    Returns ``(leader, participating_neighbours)``.  ``leader`` is the
+    minimum id seen, i.e. the leader of the participant's component of
+    G[U] (provided ``rounds`` is at least that component's diameter), and
+    ``None`` for non-participants.  Only participants emit ``("lead", id)``
+    messages, so floods cannot leak across components of G[U] even though
+    the physical network is connected.
+
+    A participant sends in the first round and afterwards only in a round
+    after its minimum improved: an unchanged id was already delivered to
+    every neighbour.  After round r the minimum is still the one over the
+    participant's radius-r ball in G[U], so rounds and payloads are those
+    of sending every round.  Because every participant sends in round 1,
+    a participant hears exactly its participating neighbours in that round
+    and returns them as the second value (non-participants return an
+    empty set).
     """
     best: Optional[Vertex] = ctx.node if participating else None
+    improved = participating
+    heard: Set[Vertex] = set()
     with ctx.phase("leader-election"):
-        for _ in range(rounds):
-            if participating:
+        for r in range(rounds):
+            if improved:
                 ctx.send_all(("lead", best))
+                improved = False
             inbox = yield
             if participating:
-                for payload in inbox.values():
+                for sender, payload in inbox.items():
                     if isinstance(payload, tuple) and payload and payload[0] == "lead":
+                        if r == 0:
+                            heard.add(sender)
                         candidate = payload[1]
                         if candidate is not None and candidate < best:
                             best = candidate
-    return best
+                            improved = True
+    return best, frozenset(heard)
 
 
 def flood_value(

@@ -5,7 +5,8 @@ Phase structure (per node, lockstep):
 1. Global leader election (min id), ``2^d`` rounds — the root r (line 2-6).
 2. For step i = 2 .. 2^d - 1 (line 7):
    a. leader election among *unmarked* vertices, ``2^d`` rounds (line 9);
-   b. one round: unmarked vertices broadcast (leader, id) (line 10);
+   b. one round: unmarked vertices send (leader, id) (line 10) to the
+      neighbours adopted in the previous step — the only ones that read it;
    c. one round: each marked vertex of depth i-1 adopts, per distinct
       leader value heard, the minimum-id broadcaster as a child and tells
       it (lines 11-17); the adoptee marks itself with depth i (lines 18-20).
@@ -65,7 +66,7 @@ def elimination_tree_program(
 
     # -- line 2-6: global leader election, root marks itself ------------
     with ctx.phase("root-election"):
-        leader = yield from leader_election(
+        leader, previous = yield from leader_election(
             ctx, participating=True, rounds=horizon
         )
     marked = leader == ctx.node
@@ -76,12 +77,16 @@ def elimination_tree_program(
     # -- line 7-21: one adoption step per depth --------------------------
     for step in range(2, max_depth + 1):
         with ctx.phase("adoption"):
-            component_leader = yield from leader_election(
+            component_leader, current = yield from leader_election(
                 ctx, participating=not marked, rounds=horizon
             )
-            # (b) unmarked vertices broadcast (leader, id).
+            # (b) unmarked vertices send (leader, id) to the neighbours that
+            # took part in the previous election but not in this one: those
+            # adopted in the previous step, the only readers of candidates.
             if not marked:
-                ctx.send_all(("cand", component_leader, ctx.node))
+                for neighbour in sorted(previous - current):
+                    ctx.send(neighbour, ("cand", component_leader, ctx.node))
+                previous = current
             inbox = yield
             # (c) marked vertices of depth step-1 adopt one child per leader.
             adopted: Dict[Vertex, Vertex] = {}

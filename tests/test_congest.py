@@ -1,6 +1,7 @@
 """Tests for the CONGEST simulator: model enforcement, primitives, metrics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest import (
     Simulation,
@@ -187,7 +188,7 @@ def test_round_number_visible_to_nodes():
 
 def test_leader_election_elects_min_id():
     def program(ctx):
-        leader = yield from leader_election(ctx, True, rounds=ctx.n)
+        leader, _ = yield from leader_election(ctx, True, rounds=ctx.n)
         return leader
 
     g = gen.random_connected_graph(8, 4, seed=3)
@@ -199,12 +200,13 @@ def test_leader_election_respects_participation():
     # Nodes 0 and 3 do not participate; P4 splits into components {1,2}.
     def program(ctx):
         participating = ctx.node in (1, 2)
-        leader = yield from leader_election(ctx, participating, rounds=ctx.n)
-        return leader
+        return (yield from leader_election(ctx, participating, rounds=ctx.n))
 
     result = run_protocol(gen.path(4), program)
-    assert result.outputs[0] is None and result.outputs[3] is None
-    assert result.outputs[1] == 1 and result.outputs[2] == 1
+    assert result.outputs[0] == (None, frozenset())
+    assert result.outputs[3] == (None, frozenset())
+    assert result.outputs[1] == (1, frozenset({2}))
+    assert result.outputs[2] == (1, frozenset({1}))
 
 
 def test_leader_election_components_do_not_leak():
@@ -212,12 +214,71 @@ def test_leader_election_components_do_not_leak():
     # though the middle vertices physically connect them.
     def program(ctx):
         participating = ctx.node in (0, 4)
-        leader = yield from leader_election(ctx, participating, rounds=ctx.n)
+        leader, _ = yield from leader_election(ctx, participating, rounds=ctx.n)
         return leader
 
     result = run_protocol(gen.path(5), program)
     assert result.outputs[0] == 0
     assert result.outputs[4] == 4
+
+
+def _always_send_election(ctx, participating, rounds):
+    """Reference min-id flood: every participant sends every round.
+
+    Returns the leader and how often the participant's minimum improved.
+    """
+    best = ctx.node if participating else None
+    improvements = 0
+    for _ in range(rounds):
+        if participating:
+            ctx.send_all(("lead", best))
+        inbox = yield
+        if participating and inbox:
+            heard = min(payload[1] for payload in inbox.values())
+            if heard < best:
+                best = heard
+                improvements += 1
+    return best, improvements
+
+
+@given(
+    st.integers(2, 12), st.integers(0, 10), st.integers(0, 10 ** 6),
+    st.integers(0, 2 ** 12 - 1),
+)
+@settings(max_examples=40)
+def test_leader_election_matches_always_send_flood(n, chords, seed, mask):
+    """Send-on-improve elects what an always-send flood elects, at every
+    node and for every horizon, including floods cut short of the
+    diameter; only participants send, each at most once per improvement
+    plus once, and each returns its participating neighbours."""
+    graph = gen.random_connected_graph(n, chords, seed=seed)
+    members = {v for v in graph.vertices() if mask >> v & 1}
+
+    for rounds in range(1, graph.diameter() + 2):
+        def program(ctx):
+            return (yield from leader_election(ctx, ctx.node in members, rounds))
+
+        def reference(ctx):
+            return (yield from _always_send_election(
+                ctx, ctx.node in members, rounds
+            ))
+
+        sim = Simulation(graph, program, trace=True)
+        got = sim.run().outputs
+        expected = run_protocol(graph, reference).outputs
+        send_rounds = {}
+        for round_no, sender, _receiver, _payload in sim.trace:
+            send_rounds.setdefault(sender, set()).add(round_no)
+        for v in graph.vertices():
+            leader, neighbours = got[v]
+            best, improvements = expected[v]
+            assert leader == best
+            if v in members:
+                assert neighbours == set(graph.neighbors(v)) & members
+                assert len(send_rounds.get(v, ())) <= 1 + improvements
+            else:
+                assert neighbours == frozenset()
+                assert v not in send_rounds
 
 
 def test_broadcast_from_root():

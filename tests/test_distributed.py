@@ -94,6 +94,26 @@ def test_elimination_messages_within_budget():
     assert result.max_message_bits <= default_budget(20)
 
 
+@pytest.mark.parametrize("graph, d", [
+    (gen.random_bounded_treedepth(12, 3, seed=5), 3),
+    (gen.random_bounded_treedepth(12, 3, seed=5), 5),
+    (gen.random_bounded_treedepth(128, 3, seed=0), 3),
+    (gen.random_tree(40, seed=0), 4),
+], ids=["golden-d3", "golden-d5", "bounded-128-d3", "random-tree-d4"])
+def test_adoption_messages_linear_in_edges(graph, d):
+    # Each vertex is adopted once and hears candidates during the next step
+    # only, from its neighbours still unmarked then; so each edge carries at
+    # most one candidate, toward the endpoint adopted first, and the
+    # adoption rounds send at most m candidates plus n - 1 adoptions
+    # whatever d is (every vertex sending to every neighbour at every step
+    # was Theta(2^d * m)).
+    tracer = Tracer()
+    result = build_elimination_tree(graph, d, config=RunConfig(trace=tracer))
+    assert result.accepted
+    bound = graph.num_edges() + graph.num_vertices() - 1
+    assert tracer.phase_stats["elimination/adoption"].messages <= bound
+
+
 # ----------------------------------------------------------------------
 # Theorem 6.1: decision
 # ----------------------------------------------------------------------
