@@ -3,9 +3,9 @@
 Three acts on the same network and formula:
 
 1. a faultless baseline of the full decision pipeline,
-2. the same run under 20% message loss — unprotected, it degrades to a
-   non-verdict (or fails closed), and the *same plan JSON* reproduces the
-   same faults every time,
+2. the same run under 15% message loss — unprotected, it fails closed
+   rather than trust a rejection that lost messages may have caused, and
+   the *same plan JSON* reproduces the same faults every time,
 3. the run hardened with the redundancy-lockstep synchronizer, which
    pays retransmissions to recover the baseline verdict.
 
@@ -40,7 +40,9 @@ def main() -> None:
 
     # Act 2 — 15% of all messages are destroyed, deterministically: the
     # plan serializes to JSON, and replaying the same JSON re-injects the
-    # exact same faults (same seed -> same RNG draws).
+    # exact same faults (same seed -> same RNG draws).  Without retries a
+    # lost message can make Algorithm 2 reject, so the run fails closed
+    # instead of reporting td > d.
     plan = FaultPlan(seed=4, drop_rate=0.15)
     replayed = FaultPlan.from_json(plan.to_json())
     assert replayed == plan

@@ -689,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CONGEST-conformance static analysis of node programs",
         description="Statically checks node programs for locality (RL001), "
         "determinism (RL002), round-structure (RL003), payload-typing "
-        "(RL004), unbounded-retry (RL005), bit-budget (RL006), "
+        "(RL004), bit-budget (RL006), "
         "round-bound (RL007), and nondeterminism-taint (RL008) "
         "violations; rules see through project-local helper calls.  "
         "Suppress a finding with '# repro: noqa[RL00x]' on the offending "

@@ -77,18 +77,3 @@ def payload_bits(payload: Payload) -> int:
     """
     return _bits(payload, "payload")
 
-
-def check_payload(payload: Payload) -> int:
-    """Validate and measure a payload; raises on non-serializable values."""
-    return payload_bits(payload)
-
-
-def fragment_payload(payload: Payload, budget: int) -> Tuple[int, int]:
-    """How many rounds does sending ``payload`` cost under ``budget``?
-
-    Returns ``(bits, rounds)`` where rounds = ceil(bits / budget), i.e. the
-    Θ(k / log n) cost of a k-bit message stated in the paper's introduction.
-    """
-    bits = payload_bits(payload)
-    rounds = max(1, -(-bits // budget))
-    return bits, rounds

@@ -13,19 +13,16 @@ class RoundMetrics:
     ``max_message_bits`` is the headline CONGEST-legality figure: it must
     stay within the per-edge budget (O(log n)) for the execution to be a
     valid CONGEST run.  ``per_round_messages`` / ``per_round_bits`` track
-    the load profile round by round; ``trace_truncated`` flags that the
-    simulation's legacy trace list hit its cap and silently dropped
-    entries (see :class:`~repro.congest.runtime.Simulation`).
-    ``undelivered_messages`` counts messages queued in the final sweep
-    after every node had halted — a send no receiver could ever observe,
-    i.e. a round-structure bug in the protocol (lint rule RL003).
+    the load profile round by round.  ``undelivered_messages`` counts
+    messages queued in the final sweep after every node had halted — a
+    send no receiver could ever observe, i.e. a round-structure bug in
+    the protocol (lint rule RL003).
 
     Fault-injection bookkeeping (see :mod:`repro.faults`):
     ``faults_injected`` counts injected faults by trace-event kind (e.g.
     ``fault-drop``); ``retransmissions`` counts redundant copies sent by
-    the reliability layer (:func:`repro.faults.reliable_program` and
-    :func:`repro.congest.primitives.reliable_send`) — zero on faultless
-    runs without a reliability wrapper.
+    the reliability layer (:func:`repro.faults.reliable_program`) — zero
+    on faultless runs without a reliability wrapper.
     """
 
     budget_bits: int
@@ -35,7 +32,6 @@ class RoundMetrics:
     max_message_bits: int = 0
     per_round_messages: List[int] = field(default_factory=list)
     per_round_bits: List[int] = field(default_factory=list)
-    trace_truncated: bool = False
     undelivered_messages: int = 0
     faults_injected: Dict[str, int] = field(default_factory=dict)
     retransmissions: int = 0
@@ -93,8 +89,6 @@ class RoundMetrics:
             f"peak_round={peak_r} peak_round_messages={peak_m} "
             f"peak_round_bits={peak_b} budget={self.budget_bits}"
         )
-        if self.trace_truncated:
-            text += " trace_truncated=True"
         if self.undelivered_messages:
             text += f" undelivered={self.undelivered_messages}"
         if self.faults_injected:

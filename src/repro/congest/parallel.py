@@ -1,35 +1,23 @@
-"""Shard-parallel sweep runner for benchmark and experiment grids.
+"""Seeded sweep runner for benchmark and experiment grids.
 
 A *sweep* runs one worker function over a grid of parameter points
 (dictionaries).  Each point becomes a :class:`Shard` carrying a
 deterministic seed derived from the sweep's base seed and the shard index
 — the same grid and base seed always reproduce the same per-shard seeds,
-whether the sweep runs serially or fanned out across ``multiprocessing``
-workers.  Results come back in grid order regardless of completion order.
-
-The worker receives the parameter dict (with ``seed`` and ``shard``
-injected) and returns any picklable value; by convention workers return a
-dict with a ``metrics`` entry (``RoundMetrics`` fields or a
-``Tracer.phase_table_rows()``-shaped summary) so the existing
-:mod:`repro.obs` exporters can consume merged sweep output via
-:func:`merge_metrics`.
-
-Workers must be module-level functions (the usual ``multiprocessing``
-picklability rule).  ``processes=0`` or a single-point grid runs serially
-in-process, which is also the fallback wherever ``multiprocessing`` is
-unavailable.
+so any single point can be replayed on its own.  Shards run serially
+in-process and results come back in grid order.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..errors import CongestError
 from ..obs.registry import registry as _registry
 
-__all__ = ["Shard", "ShardResult", "shard_seed", "run_sweep", "merge_metrics"]
+__all__ = ["Shard", "ShardResult", "shard_seed", "run_sweep"]
 
 
 def shard_seed(base_seed: int, index: int) -> int:
@@ -54,50 +42,25 @@ class Shard:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """A shard's outcome: the worker's return value or its error repr."""
+    """A shard and the value its worker returned."""
 
     shard: Shard
     value: Any = None
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def _call_worker(args):
-    worker, shard = args
-    params = dict(shard.params)
-    params.setdefault("seed", shard.seed)
-    params.setdefault("shard", shard.index)
-    try:
-        return ShardResult(shard=shard, value=worker(params))
-    except Exception as exc:  # surfaced to the caller, never swallowed
-        return ShardResult(
-            shard=shard,
-            error=f"shard {shard.index}: {type(exc).__name__}: {exc}",
-        )
 
 
 def run_sweep(
     worker: Callable[[Dict[str, Any]], Any],
     grid: Sequence[Dict[str, Any]],
     *,
-    processes: int = 0,
     seed: int = 0,
-    strict: bool = True,
 ) -> List[ShardResult]:
     """Run ``worker`` over every point of ``grid``; results in grid order.
 
-    ``processes=0`` (default) runs serially in-process; ``processes=N``
-    fans shards across N ``multiprocessing`` workers.  Each shard's params
-    are augmented with deterministic ``seed`` (via :func:`shard_seed`,
-    unless the point already pins one) and its ``shard`` index, so a
-    sharded sweep is replayable point-by-point.
-
-    With ``strict`` (default) a failing shard raises :class:`CongestError`
-    naming the shard; with ``strict=False`` failures are returned as
-    :class:`ShardResult` values with ``ok=False``.
+    Each shard's params are augmented with a deterministic ``seed`` (via
+    :func:`shard_seed`, unless the point already pins one) and its
+    ``shard`` index, so a sweep is replayable point-by-point.  A failing
+    shard raises :class:`CongestError` naming the shard and its params,
+    chained to the worker's exception.
     """
     shards = [
         Shard(index=i, seed=shard_seed(seed, i), params=dict(point))
@@ -107,45 +70,17 @@ def run_sweep(
     reg.counter("repro_sweeps_total", "Parameter sweeps launched.").inc()
     reg.counter("repro_sweep_shards_total",
                 "Shards executed across all sweeps.").inc(len(shards))
-    jobs = [(worker, shard) for shard in shards]
-    if processes and len(shards) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=processes) as pool:
-            results = pool.map(_call_worker, jobs)
-    else:
-        results = [_call_worker(job) for job in jobs]
-    if strict:
-        for result in results:
-            if not result.ok:
-                raise CongestError(
-                    f"sweep shard {result.shard.index} "
-                    f"(params {result.shard.params!r}) failed: {result.error}"
-                )
+    results = []
+    for shard in shards:
+        params = dict(shard.params)
+        params.setdefault("seed", shard.seed)
+        params.setdefault("shard", shard.index)
+        try:
+            value = worker(params)
+        except Exception as exc:
+            raise CongestError(
+                f"sweep shard {shard.index} (params {shard.params!r}) "
+                f"failed: {type(exc).__name__}: {exc}"
+            ) from exc
+        results.append(ShardResult(shard=shard, value=value))
     return results
-
-
-def merge_metrics(results: Sequence[ShardResult]) -> Dict[str, int]:
-    """Sum the additive metrics fields across shard results.
-
-    Looks for a ``metrics`` dict in each shard value (as produced by
-    workers that report ``rounds`` / ``total_messages`` / ``total_bits`` /
-    ``max_message_bits`` figures) and merges them: counters add,
-    ``max_message_bits`` takes the maximum.  Shards without a metrics
-    dict are skipped.
-    """
-    merged: Dict[str, int] = {}
-    for result in results:
-        if not result.ok or not isinstance(result.value, dict):
-            continue
-        metrics = result.value.get("metrics")
-        if not isinstance(metrics, dict):
-            continue
-        for key, value in metrics.items():
-            if not isinstance(value, (int, float)):
-                continue
-            if key == "max_message_bits":
-                merged[key] = max(merged.get(key, 0), value)
-            else:
-                merged[key] = merged.get(key, 0) + value
-    return merged

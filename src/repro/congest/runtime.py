@@ -98,9 +98,9 @@ class NodeContext:
     def record_retry(self, count: int = 1) -> None:
         """Count ``count`` redundant transmissions in the run's metrics.
 
-        Used by reliability layers (:func:`repro.faults.reliable_program`,
-        :func:`repro.congest.primitives.reliable_send`) so retransmission
-        overhead is visible in :class:`~repro.congest.metrics.RoundMetrics`.
+        Used by the reliability layer (:func:`repro.faults.reliable_program`)
+        so retransmission overhead is visible in
+        :class:`~repro.congest.metrics.RoundMetrics`.
         """
         self._simulation.metrics.record_retry(count)
 
@@ -217,8 +217,6 @@ class Simulation:
         inputs: Optional[Dict[Vertex, Dict[str, Any]]] = None,
         budget: Optional[int] = None,
         max_rounds: int = 10_000,
-        trace: bool = False,
-        trace_limit: int = 100_000,
         tracer: Optional[Tracer] = None,
         inbox_order: str = "arrival",
         seed: Optional[int] = None,
@@ -251,9 +249,6 @@ class Simulation:
             self._injector = FaultInjector(faults)
         self._round_budget = self.metrics.budget_bits
         self.crashed: Dict[Vertex, int] = {}
-        self._trace_enabled = trace
-        self._trace_limit = trace_limit
-        self.trace: List[Tuple[int, Vertex, Vertex, Payload]] = []
         # Explicit tracer wins; otherwise pick up a process-installed one
         # (the REPRO_TRACE / ``repro trace`` path).  None = fully disabled.
         self.tracer = tracer if tracer is not None else current_tracer()
@@ -301,13 +296,6 @@ class Simulation:
             self._acc_max = bits
         if self.tracer is not None:
             self.tracer.on_send(sender, receiver, bits, payload)
-        if self._trace_enabled:
-            if len(self.trace) < self._trace_limit:
-                self.trace.append(
-                    (self.metrics.rounds, sender, receiver, payload)
-                )
-            else:
-                self.metrics.trace_truncated = True
 
     def _flush_round_metrics(self) -> None:
         """Fold the per-round message accumulators into metrics."""

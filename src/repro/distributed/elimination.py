@@ -235,7 +235,9 @@ def build_elimination_tree(
     ``config.faults`` the result is never silently wrong: the protocol
     either yields a decomposition that *validates* against the surviving
     induced subgraph, or raises
-    :class:`~repro.errors.FaultToleranceExceeded`.
+    :class:`~repro.errors.FaultToleranceExceeded`.  Without a retry policy
+    a rejection from a run that saw any injected fault raises too: lost
+    messages alone can make a node report td(G) > d.
     """
     if not graph.is_connected():
         raise ProtocolError("CONGEST requires a connected network")
@@ -290,6 +292,16 @@ def build_elimination_tree(
                 f"against the surviving subgraph: {exc}",
                 round=result.rounds,
             ) from exc
+    elif (not accepted and cfg.retry is None
+          and result.metrics.total_faults > 0):
+        # Without the synchronizer a lost "lead" or report message can make
+        # a node reject a graph with td <= d; fail closed instead.
+        raise FaultToleranceExceeded(
+            f"{result.metrics.total_faults} injected faults hit an "
+            "unprotected run and some node reported td(G) > d; the "
+            "rejection is unreliable",
+            round=result.rounds,
+        )
     elif accepted:
         forest = EliminationForest(
             {v: out.parent for v, out in outputs.items()}

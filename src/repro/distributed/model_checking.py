@@ -302,7 +302,9 @@ def run_checking(
     adversary; its retry policy wraps both in the redundancy-lockstep
     synchronizer.  Any crash raises
     :class:`~repro.errors.FaultToleranceExceeded`: an answer computed on a
-    partial network says nothing about the whole one.
+    partial network says nothing about the whole one.  So does a td > d
+    rejection from a lossy run without retry (see
+    :func:`build_elimination_tree`).
 
     This is the one place the minimization depth gate applies:
     :func:`engine_automaton` sees the recovered forest's depth, and

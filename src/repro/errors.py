@@ -71,9 +71,10 @@ class ProtocolError(CongestError):
 class FaultToleranceExceeded(CongestError):
     """Injected faults exceeded what the protocol can provably tolerate.
 
-    Raised instead of returning a possibly-wrong answer: a retry bound ran
-    out, a neighbor went silent past the retransmission window, or a crash
-    left the surviving nodes with an inconsistent result.  ``node`` and
+    Raised instead of returning a possibly-wrong answer: a neighbor went
+    silent past the retransmission window, a crash left the surviving
+    nodes with an inconsistent result, or lost messages made an
+    unprotected run's td(G) > d rejection unreliable.  ``node`` and
     ``round`` (when known) locate the first detection point.
     """
 

@@ -8,7 +8,6 @@ RL002  determinism      no set/dict-order, unseeded-random, or id()/hash()
 RL003  round-structure  sends need a reachable yield; one send per neighbor
                         per round; message-producing loops must yield
 RL004  payload-typing   payloads stay inside the Payload algebra
-RL005  retry-bound      reliable_send needs a finite max_retries
 RL006  bit-budget       every send payload has a statically certified
                         bit-width within the declared CONGEST budget
                         family (abstract interpretation over the
@@ -21,6 +20,9 @@ RL008  nondeterminism-  dataflow taint: order/random/clock-derived values
 RL009  static-vs-       observed run metrics must not exceed the static
        observed         bounds (``repro lint --verify-runs DIR`` only —
                         not in :data:`RULES`, it needs run artifacts)
+
+The gap after RL004 is a retired rule; codes are never reused, so each
+code keeps its meaning in old suppressions and SARIF logs.
 
 Since v2 the analyzer is *interprocedural*: project-local helper calls
 are inlined (bounded depth, cycle-safe) before rules run, so a violation

@@ -12,7 +12,7 @@ Two facilities live here:
 
 * :func:`expand_program` produces a deep copy of a node program in which
   *statement-level* calls to same-module helpers are inlined (bounded
-  depth, cycle-safe), so the purely intraprocedural rules RL001–RL005
+  depth, cycle-safe), so the purely intraprocedural rules RL001–RL004
   see through calls instead of stopping at function boundaries.  Inlined
   statements keep the helper's original line numbers (findings point
   into the helper, and helper-line ``noqa`` comments keep working) and

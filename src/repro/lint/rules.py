@@ -1,11 +1,13 @@
-"""The CONGEST-conformance rules (RL001-RL005).
+"""The CONGEST-conformance rules (RL001-RL004 and RL006-RL008).
 
 Each rule is a function from a :class:`~repro.lint.astutils.ProgramInfo`
 to an iterator of :class:`~repro.lint.findings.Finding`.  Rules are
 registered in :data:`RULES` with a code, a short name, and a summary;
-``repro lint --list-rules`` prints the table.
+``repro lint --list-rules`` prints the table.  RL006-RL008 delegate to
+the abstract interpreter (:mod:`repro.lint.bitwidth`) and the taint
+analysis (:mod:`repro.lint.taint`).
 
-The rules are deliberately *syntactic and high-precision*: they flag
+RL001-RL004 are deliberately *syntactic and high-precision*: they flag
 patterns that are wrong under the CONGEST model's ground rules (locality,
 order-free delivery, one message per neighbor per round, the Payload
 algebra) rather than attempting whole-program dataflow.  Anything a rule
@@ -686,59 +688,6 @@ def check_payload_typing(program: ProgramInfo) -> Iterator[Finding]:
             payload = call.args[0]
         if payload is not None:
             yield from walk(payload, "payload")
-
-
-# ---------------------------------------------------------------------------
-# RL005 — retry bound
-# ---------------------------------------------------------------------------
-
-# reliable_send(ctx, target, payload, tag, max_retries, backoff)
-_RELIABLE_SEND_RETRY_ARG = 4
-
-
-@rule(
-    "RL005",
-    "retry-bound",
-    "reliable_send must carry a finite max_retries: with the default "
-    "(None) a lost partner stalls the node — and the synchronous network "
-    "— until max_rounds",
-)
-def check_retry_bound(program: ProgramInfo) -> Iterator[Finding]:
-    for n in program.own:
-        if not isinstance(n, ast.Call):
-            continue
-        func = n.func
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        else:
-            continue
-        if name != "reliable_send" or "reliable_send" in program.locals:
-            continue
-        bound: Optional[ast.AST] = None
-        supplied = False
-        for kw in n.keywords:
-            if kw.arg == "max_retries":
-                bound, supplied = kw.value, True
-            elif kw.arg is None:
-                supplied = True  # **kwargs: cannot decide, stay silent
-        if not supplied and len(n.args) > _RELIABLE_SEND_RETRY_ARG:
-            bound = n.args[_RELIABLE_SEND_RETRY_ARG]
-            supplied = True
-        if supplied and not (
-            isinstance(bound, ast.Constant) and bound.value is None
-        ):
-            continue
-        yield _finding(
-            program,
-            "RL005",
-            n,
-            "reliable_send without a finite max_retries: the ack wait is "
-            "unbounded, so persistent loss or a crashed partner hangs the "
-            "protocol until max_rounds instead of failing closed with "
-            "FaultToleranceExceeded",
-        )
 
 
 # ---------------------------------------------------------------------------

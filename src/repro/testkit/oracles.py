@@ -275,7 +275,11 @@ def _check_null_plan(
 def _check_lossy(
     case: Case, ref: Reference, cache: AutomatonCache
 ) -> List[Discrepancy]:
-    """Lossy plan + retry: agree with the reference or fail closed."""
+    """Lossy plan + retry: agree with the reference or fail closed.
+
+    The generator guarantees td(G) <= d, so a td > d report is as wrong
+    here as on the faultless path.
+    """
     session = Session(
         case.graph, case.d, seed=case.seed, faults=case.plan,
         retry=RetryPolicy(attempts=max(1, case.retry_attempts)),
@@ -286,7 +290,12 @@ def _check_lossy(
     except FaultToleranceExceeded:
         return []  # an explicit refusal is never wrong
     if result.treedepth_exceeded:
-        return []
+        return [Discrepancy(
+            case.case_id, "lossy-treedepth",
+            f"under {case.plan.describe()} the pipeline rejected the "
+            f"promise d={case.d} although the generator guarantees it",
+            f"retries={case.retry_attempts}", note=case.note,
+        )]
     got = _outcome_fields(case, result)
     expected = _expected_fields(case, ref)
     if got != expected:

@@ -5,10 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.congest import (
     Simulation,
-    broadcast_from_root,
     default_budget,
-    flood_value,
-    idle,
     leader_election,
     payload_bits,
     run_protocol,
@@ -16,6 +13,11 @@ from repro.congest import (
 from repro.errors import CongestError, MessageTooLargeError, ProtocolError
 from repro.graph import Graph
 from repro.graph import generators as gen
+from repro.obs import SendEvent, Tracer
+
+
+def _sends(tracer):
+    return [e for e in tracer.events if isinstance(e, SendEvent)]
 
 
 # ----------------------------------------------------------------------
@@ -148,27 +150,15 @@ def test_trace_records_messages():
         inbox = yield
         return len(inbox)
 
-    sim = Simulation(gen.path(3), program, trace=True)
-    result = sim.run()
+    tracer = Tracer()
+    result = run_protocol(gen.path(3), program, tracer=tracer)
     assert result.outputs[1] == 2
     # 4 directed sends in round 1.
-    assert len(sim.trace) == 4
-    rounds = {entry[0] for entry in sim.trace}
-    assert rounds == {1}
-    senders = sorted(entry[1] for entry in sim.trace)
-    assert senders == [0, 1, 1, 2]
-
-
-def test_trace_respects_limit():
-    def program(ctx):
-        for _ in range(5):
-            ctx.send_all(("x",))
-            yield
-        return None
-
-    sim = Simulation(gen.path(2), program, trace=True, trace_limit=3)
-    sim.run()
-    assert len(sim.trace) == 3
+    sends = _sends(tracer)
+    assert len(sends) == 4
+    assert {e.round for e in sends} == {1}
+    assert sorted(e.sender for e in sends) == [0, 1, 1, 2]
+    assert {e.payload for e in sends} == {repr(("ping", v)) for v in (0, 1, 2)}
 
 
 def test_round_number_visible_to_nodes():
@@ -263,12 +253,12 @@ def test_leader_election_matches_always_send_flood(n, chords, seed, mask):
                 ctx, ctx.node in members, rounds
             ))
 
-        sim = Simulation(graph, program, trace=True)
-        got = sim.run().outputs
+        tracer = Tracer()
+        got = run_protocol(graph, program, tracer=tracer).outputs
         expected = run_protocol(graph, reference).outputs
         send_rounds = {}
-        for round_no, sender, _receiver, _payload in sim.trace:
-            send_rounds.setdefault(sender, set()).add(round_no)
+        for event in _sends(tracer):
+            send_rounds.setdefault(event.sender, set()).add(event.round)
         for v in graph.vertices():
             leader, neighbours = got[v]
             best, improvements = expected[v]
@@ -281,30 +271,12 @@ def test_leader_election_matches_always_send_flood(n, chords, seed, mask):
                 assert v not in send_rounds
 
 
-def test_broadcast_from_root():
-    def program(ctx):
-        value = yield from broadcast_from_root(
-            ctx, is_root=ctx.node == 2, value=("v", 42), rounds=ctx.n
-        )
-        return value
-
-    result = run_protocol(gen.path(5), program)
-    assert all(out == ("v", 42) for out in result.outputs.values())
-
-
-def test_flood_value_collects_everything():
-    def program(ctx):
-        values = yield from flood_value(ctx, ("id", ctx.node), rounds=3 * ctx.n)
-        return len(values)
-
-    g = gen.cycle(5)
-    result = run_protocol(g, program)
-    assert all(out == 5 for out in result.outputs.values())
-
-
 def test_idle_keeps_lockstep():
+    # A node that stays silent for a stretch of rounds (as convergecast
+    # nodes do while their children stream) still advances in lockstep.
     def program(ctx):
-        yield from idle(ctx, 5)
+        for _ in range(5):
+            yield
         return ctx.round_number
 
     result = run_protocol(gen.path(2), program)

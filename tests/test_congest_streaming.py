@@ -1,17 +1,21 @@
-"""Tests for the streaming primitives (send_items_to / ItemCollector) and
-payload fragmentation accounting."""
+"""Tests for streamed convergecast traffic (ItemCollector) and integer
+bit accounting."""
 
 import pytest
 
-from repro.congest import (
-    ItemCollector,
-    fragment_payload,
-    int_bits,
-    run_protocol,
-    send_items_to,
-)
+from repro.congest import ItemCollector, int_bits, run_protocol
 from repro.errors import ProtocolError
 from repro.graph import generators as gen
+
+
+def stream(ctx, target, items, tag):
+    """Send ``items`` to ``target`` one per round, then the end marker —
+    the shape in which the convergecasts stream their tables upward."""
+    for item in items:
+        ctx.send(target, (tag, item))
+        yield
+    ctx.send(target, (tag + "/end", None))
+    yield
 
 
 def test_int_bits():
@@ -22,19 +26,11 @@ def test_int_bits():
     assert int_bits(-256) == 10
 
 
-def test_fragment_payload_rounds():
-    bits, rounds = fragment_payload(5, budget=48)
-    assert rounds == 1
-    big = tuple(range(50))
-    bits, rounds = fragment_payload(big, budget=48)
-    assert rounds == -(-bits // 48) > 1
-
-
 def test_streaming_between_two_nodes():
     # Node 1 streams three items to node 0; node 0 collects them.
     def program(ctx):
         if ctx.node == 1:
-            yield from send_items_to(ctx, 0, [(10,), (20,), (30,)], tag="data")
+            yield from stream(ctx, 0, [(10,), (20,), (30,)], tag="data")
             return None
         collector = ItemCollector("data", [1])
         while not collector.complete:
@@ -51,7 +47,7 @@ def test_streaming_between_two_nodes():
 def test_streaming_empty_list_sends_only_end_marker():
     def program(ctx):
         if ctx.node == 1:
-            yield from send_items_to(ctx, 0, [], tag="data")
+            yield from stream(ctx, 0, [], tag="data")
             return None
         collector = ItemCollector("data", [1])
         while not collector.complete:
@@ -93,7 +89,7 @@ def test_concurrent_streams_interleave():
                 collector.absorb(inbox)
             return (collector.items_from(1), collector.items_from(2))
         items = [(ctx.node, i) for i in range(3)]
-        yield from send_items_to(ctx, 0, items, tag="s")
+        yield from stream(ctx, 0, items, tag="s")
         return None
 
     result = run_protocol(gen.star(2), program)

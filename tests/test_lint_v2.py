@@ -446,7 +446,7 @@ def test_verify_runs_fails_on_inflated_rounds(recorded_run, tmp_path):
 
 
 def test_verify_runs_skips_unmapped_and_faulty_workloads(tmp_path):
-    from repro.faults import FaultPlan
+    from repro.faults import FaultPlan, RetryPolicy
 
     store_dir = tmp_path / "certify-runs"
     session = Session(gen.grid(2, 2), d=3, record=str(store_dir))
@@ -458,7 +458,8 @@ def test_verify_runs_skips_unmapped_and_faulty_workloads(tmp_path):
     faulty_dir = tmp_path / "faulty-runs"
     plan = FaultPlan(seed=3, drop_rate=0.2)
     Session(
-        gen.grid(2, 2), d=3, faults=plan, record=str(faulty_dir)
+        gen.grid(2, 2), d=3, faults=plan, retry=RetryPolicy(attempts=5),
+        record=str(faulty_dir),
     ).decide(formulas.triangle_free())
     faulty = verify_runs(str(faulty_dir))
     assert faulty.checked == 0

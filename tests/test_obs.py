@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.congest import Simulation, run_protocol
+from repro.congest import run_protocol
 from repro.errors import ProtocolError
 from repro.graph import generators as gen
 from repro.obs import (
@@ -329,23 +329,6 @@ def test_unanimous_compares_by_equality_not_repr():
 
     with pytest.raises(ProtocolError):
         run_protocol(gen.path(2), program2).unanimous()
-
-
-def test_trace_truncation_is_surfaced():
-    def program(ctx):
-        for _ in range(5):
-            ctx.send_all(("x",))
-            yield
-        return None
-
-    sim = Simulation(gen.path(2), program, trace=True, trace_limit=3)
-    result = sim.run()
-    assert len(sim.trace) == 3  # legacy behavior preserved
-    assert result.metrics.trace_truncated
-    assert "trace_truncated=True" in result.metrics.summary()
-
-    sim2 = Simulation(gen.path(2), program, trace=True)
-    assert not sim2.run().metrics.trace_truncated
 
 
 def test_per_round_bits_and_peaks():

@@ -1,36 +1,19 @@
-"""Tests for the shard-parallel sweep runner (:mod:`repro.congest.parallel`).
+"""Tests for the seeded sweep runner (:mod:`repro.congest.parallel`).
 
 Determinism is the contract: the same grid and base seed must produce the
-same per-shard seeds and the same results whether the sweep runs serially
-or across multiprocessing workers.
+same per-shard seeds and the same results, so any point is replayable on
+its own.
 """
 
 import pytest
 
-from repro.congest.parallel import (
-    Shard,
-    ShardResult,
-    merge_metrics,
-    run_sweep,
-    shard_seed,
-)
+from repro.congest.parallel import run_sweep, shard_seed
 from repro.errors import CongestError
 
 
 def echo_worker(params):
-    """Module-level (picklable) worker: echo the params it received."""
+    """Echo the params the worker received."""
     return dict(params)
-
-
-def metrics_worker(params):
-    return {
-        "n": params["n"],
-        "metrics": {
-            "rounds": params["n"],
-            "total_messages": 10 * params["n"],
-            "max_message_bits": 32 + params["shard"],
-        },
-    }
 
 
 def failing_worker(params):
@@ -54,7 +37,6 @@ def test_run_sweep_injects_seeds_and_preserves_grid_order():
     assert [r.shard.index for r in results] == [0, 1, 2]
     assert [r.value["n"] for r in results] == [4, 6, 8]
     for i, r in enumerate(results):
-        assert r.ok
         assert r.value["shard"] == i
         assert r.value["seed"] == shard_seed(5, i)
     # A point that pins its own seed keeps it.
@@ -62,69 +44,25 @@ def test_run_sweep_injects_seeds_and_preserves_grid_order():
     assert pinned[0].value["seed"] == 99
 
 
-def test_serial_and_parallel_sweeps_agree():
-    grid = [{"n": n} for n in range(3, 9)]
-    serial = run_sweep(echo_worker, grid, seed=11, processes=0)
-    try:
-        fanned = run_sweep(echo_worker, grid, seed=11, processes=2)
-    except (ImportError, OSError) as exc:  # no multiprocessing here
-        pytest.skip(f"multiprocessing unavailable: {exc}")
-    assert [r.value for r in serial] == [r.value for r in fanned]
-
-
 def test_strict_sweep_raises_naming_the_shard():
+    seen = []
+
+    def worker(params):
+        seen.append(params["n"])
+        return failing_worker(params)
+
     grid = [{"n": n} for n in (1, 2, 3)]
     with pytest.raises(CongestError, match="shard 1"):
-        run_sweep(failing_worker, grid, seed=0)
-    relaxed = run_sweep(failing_worker, grid, seed=0, strict=False)
-    assert [r.ok for r in relaxed] == [True, False, True]
-    assert "ValueError: boom" in relaxed[1].error
+        run_sweep(worker, grid, seed=0)
+    assert seen == [1, 2]  # no shard runs after the first failure
 
 
 def test_shard_error_repr_names_its_shard():
-    # The error string alone (without the ShardResult around it) must
-    # identify the failing grid point, e.g. in merged sweep logs.
-    relaxed = run_sweep(failing_worker, [{"n": n} for n in (1, 2, 3)],
-                        seed=0, strict=False)
-    assert relaxed[1].error.startswith("shard 1: ")
-
-
-def test_worker_exception_surfaces_across_processes():
-    # A worker crash inside a multiprocessing pool must come back as a
-    # ShardResult error (relaxed) or a CongestError (strict), never as a
-    # half-dead pool or a lost shard.
-    grid = [{"n": n} for n in (1, 2, 3, 4)]
-    try:
-        relaxed = run_sweep(failing_worker, grid, seed=0, processes=2,
-                            strict=False)
-    except (ImportError, OSError) as exc:
-        pytest.skip(f"multiprocessing unavailable: {exc}")
-    assert [r.ok for r in relaxed] == [True, False, True, True]
-    assert "shard 1: ValueError: boom" in relaxed[1].error
-    with pytest.raises(CongestError, match="shard 1"):
-        run_sweep(failing_worker, grid, seed=0, processes=2)
-
-
-def test_more_processes_than_grid_points():
-    # processes > len(grid) must not deadlock or duplicate shards.
-    grid = [{"n": n} for n in (5, 7)]
-    try:
-        fanned = run_sweep(echo_worker, grid, seed=3, processes=6)
-    except (ImportError, OSError) as exc:
-        pytest.skip(f"multiprocessing unavailable: {exc}")
-    assert [r.shard.index for r in fanned] == [0, 1]
-    assert [r.value["n"] for r in fanned] == [5, 7]
-    serial = run_sweep(echo_worker, grid, seed=3, processes=0)
-    assert [r.value for r in fanned] == [r.value for r in serial]
-
-
-def test_merge_metrics_sums_counters_and_maxes_bits():
-    results = run_sweep(metrics_worker, [{"n": n} for n in (2, 3, 4)], seed=0)
-    merged = merge_metrics(results)
-    assert merged["rounds"] == 2 + 3 + 4
-    assert merged["total_messages"] == 10 * (2 + 3 + 4)
-    assert merged["max_message_bits"] == 32 + 2
-    # Shards without a metrics dict are skipped, not fatal.
-    shard = Shard(index=0, seed=0)
-    assert merge_metrics([ShardResult(shard=shard, value={"n": 1})]) == {}
-    assert merge_metrics([ShardResult(shard=shard, value=None)]) == {}
+    # The error message alone must identify the failing grid point and
+    # the worker's exception, e.g. in a benchmark log.
+    with pytest.raises(CongestError) as info:
+        run_sweep(failing_worker, [{"n": n} for n in (1, 2, 3)], seed=0)
+    message = str(info.value)
+    assert message.startswith("sweep shard 1 (params {'n': 2}) failed: ")
+    assert message.endswith("ValueError: boom")
+    assert isinstance(info.value.__cause__, ValueError)

@@ -106,12 +106,16 @@ def test_simulations_feed_registry_and_collectors(fresh_registry):
 
 
 def test_fault_injection_counts_into_registry(fresh_registry):
+    from repro.errors import FaultToleranceExceeded
     from repro.faults import FaultPlan
 
     plan = FaultPlan(seed=3, drop_rate=0.5)
     session = _session(faults=plan, retry=None)
     with collect_run() as collector:
-        session.decide(formulas.triangle_free())
+        # Unprotected, the lossy elimination rejects and fails closed; the
+        # faults it saw are still counted.
+        with pytest.raises(FaultToleranceExceeded):
+            session.decide(formulas.triangle_free())
     assert collector.faults.get("fault-drop", 0) > 0
     samples = fresh_registry.to_json()["repro_faults_injected_total"]["samples"]
     by_kind = {s["labels"]["kind"]: s["value"] for s in samples}

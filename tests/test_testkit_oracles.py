@@ -70,6 +70,18 @@ def test_replay_roundtrip_with_fault_plan(cache):
     assert replay_roundtrip_check(case, cache) == []
 
 
+def test_lossy_treedepth_rejection_is_a_discrepancy(cache):
+    from repro.faults import FaultPlan
+
+    # K5 has td 5 > 2^2 - 1, so every cell rejects the (broken) promise;
+    # the lossy cell, which runs with retry, must be reported too.
+    case = _case(graph=gen.clique(5), d=2, seed=5,
+                 plan=FaultPlan(seed=3, drop_rate=0.05), retry_attempts=3)
+    kinds = {d.kind for d in differential_check(case, cache=cache)}
+    assert "treedepth" in kinds
+    assert "lossy-treedepth" in kinds
+
+
 # ----------------------------------------------------------------------
 # References
 # ----------------------------------------------------------------------
