@@ -116,8 +116,9 @@ def optimization_program(
                 }
                 merged: Dict[Any, int] = {}
                 back: Dict[Any, Tuple[Any, Any]] = {}
+                child_order = sorted(child_table, key=codec.encode)
                 for s1 in sorted(table, key=codec.encode):
-                    for s2 in sorted(child_table, key=codec.encode):
+                    for s2 in child_order:
                         s = automaton.glue(depth, s1, s2)
                         w = table[s1] + child_table[s2]
                         if better(w, merged.get(s)):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 import copy
 import itertools
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
@@ -73,7 +74,10 @@ def _module_file(current: Path, level: int, module: Optional[str]) -> Optional[P
 
     ``level`` and ``module`` come straight from ``ast.ImportFrom``.  For
     absolute imports the source root is found by walking up past
-    ``__init__.py`` packages.
+    ``__init__.py`` packages; failing that, the ``sys.path`` roots are
+    tried in order, as the interpreter would (files only: nothing is
+    imported), so a script outside the package that does
+    ``from repro.congest import leader_election`` still resolves.
     """
     try:
         current = Path(current).resolve()
@@ -85,16 +89,29 @@ def _module_file(current: Path, level: int, module: Optional[str]) -> Optional[P
         # mean package ``pkg`` — which is ``parent`` in both cases.
         for _ in range(level - 1):
             base = base.parent
-    else:
-        while (base / "__init__.py").exists():
-            base = base.parent
+        return _source_file(base, module)
+    while (base / "__init__.py").exists():
+        base = base.parent
+    roots = [base] + [Path(entry) for entry in sys.path if isinstance(entry, str)]
+    for root in roots:
+        found = _source_file(root, module)
+        if found is not None:
+            return found
+    return None
+
+
+def _source_file(base: Path, module: Optional[str]) -> Optional[Path]:
+    """The package ``__init__.py`` or module file ``module`` names under ``base``."""
     parts = module.split(".") if module else []
     target = base.joinpath(*parts)
-    if (target / "__init__.py").is_file():
-        return target / "__init__.py"
-    candidate = target.with_suffix(".py")
-    if candidate.is_file():
-        return candidate
+    try:
+        if (target / "__init__.py").is_file():
+            return target / "__init__.py"
+        candidate = target.with_suffix(".py")
+        if candidate.is_file():
+            return candidate
+    except OSError:  # an unreadable sys.path root
+        return None
     return None
 
 

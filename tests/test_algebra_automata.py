@@ -1,7 +1,10 @@
 """Unit tests for individual automata and symbol machinery."""
 
+import pickle
+
 import pytest
 
+from repro.algebra import automata, compiler, engine
 from repro.algebra import (
     BaseStructure,
     BaseSymbol,
@@ -19,10 +22,12 @@ from repro.algebra import (
     owned_items,
     symbol_for_assignment,
 )
+from repro.algebra.cache import _component_automata, transition_table_bytes
 from repro.errors import ReproError
 from repro.graph import generators as gen
-from repro.mso import Sort, Var, vertex_set
+from repro.mso import Sort, Var, formulas, vertex_set
 from repro.treedepth import EliminationForest
+from repro.treedepth.heuristics import best_heuristic_forest
 
 
 def chain_forest():
@@ -244,3 +249,148 @@ def test_intern_and_num_classes():
     assert aut.num_classes() >= 1
     first = aut.intern(aut.leaf(sym))
     assert aut.intern(aut.leaf(sym)) == first
+
+
+# ----------------------------------------------------------------------
+# Projection row memo
+# ----------------------------------------------------------------------
+
+class PairProductProjection(ProjectionAutomaton):
+    """The subset-construction glue without the row memo: every pair."""
+
+    def _glue(self, boundary, s1, s2):
+        return frozenset(
+            self._inner.glue(boundary, a, b) for a in s1 for b in s2
+        )
+
+
+def compiled_with(projection, monkeypatch, phi, scope=()):
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler, "ProjectionAutomaton", projection)
+        return compiler.compile_formula(phi, scope)
+
+
+def projections(automaton):
+    return [
+        component for component in _component_automata(automaton)
+        if isinstance(component, ProjectionAutomaton)
+    ]
+
+
+def tables_and_ids(automaton):
+    """Table lines plus every component's intern ids in insertion order,
+    with frozenset states spelled in their iteration order."""
+    lines = transition_table_bytes(automaton).replace(
+        PairProductProjection.__name__.encode(),
+        ProjectionAutomaton.__name__.encode(),
+    ).split(b"\n")
+    ids = [
+        [
+            (tuple(state) if isinstance(state, frozenset) else state, class_id)
+            for state, class_id in component._intern.items()
+        ]
+        for component in _component_automata(automaton)
+    ]
+    return sorted(lines), ids
+
+
+def dominating_set_runs(automaton, seeds):
+    s = vertex_set("S")
+    optima = []
+    for seed in seeds:
+        graph = gen.random_bounded_treedepth(12, 3, 0.5, seed=seed)
+        forest = best_heuristic_forest(graph)
+        result = engine.optimize(
+            formulas.dominating_set(s), graph, forest, s,
+            maximize=False, automaton=automaton,
+        )
+        optima.append(result.value)
+    return optima
+
+
+def three_colourable_runs(automaton, seeds):
+    verdicts = []
+    for seed in seeds:
+        graph = gen.random_bounded_treedepth(9, 3, 0.6, seed=seed)
+        forest = best_heuristic_forest(graph)
+        verdicts.append(engine.check(
+            formulas.k_colorable(3), graph, forest, automaton=automaton,
+        ))
+    return verdicts
+
+
+@pytest.mark.parametrize("runs, phi, scope", [
+    (dominating_set_runs, formulas.dominating_set(vertex_set("S")),
+     (vertex_set("S"),)),
+    # Three nested projections: an inner projection's ids depend on the
+    # iteration order of the outer projection's glued frozensets.
+    (three_colourable_runs, formulas.k_colorable(3), ()),
+])
+def test_row_memo_matches_pair_product(monkeypatch, runs, phi, scope):
+    memo = compiled_with(ProjectionAutomaton, monkeypatch, phi, scope)
+    plain = compiled_with(PairProductProjection, monkeypatch, phi, scope)
+    assert not isinstance(projections(memo)[0], PairProductProjection)
+    assert all(
+        isinstance(p, PairProductProjection) for p in projections(plain)
+    )
+    seeds = range(6)
+    assert runs(memo, seeds) == runs(plain, seeds)
+    assert any(p._row_count for p in projections(memo))
+    assert tables_and_ids(memo) == tables_and_ids(plain)
+
+
+def test_row_memo_is_not_pickled(monkeypatch):
+    phi = formulas.dominating_set(vertex_set("S"))
+    warmed = compiled_with(
+        ProjectionAutomaton, monkeypatch, phi, (vertex_set("S"),)
+    )
+    dominating_set_runs(warmed, range(3))
+    assert all(p._row_count for p in projections(warmed))
+    blob = pickle.dumps(warmed)
+    assert b"_rows" not in blob and b"_row_count" not in blob
+    copy = pickle.loads(blob)
+    assert all(
+        p._rows == {} and p._row_count == 0 for p in projections(copy)
+    )
+    # A loaded entry saved again is no larger: attribute names stay
+    # interned and shared with the other components.  (Unpickled
+    # frozensets may iterate in another order, so only lengths compare.)
+    assert len(pickle.dumps(copy)) == len(blob)
+    # Rows never reach the bytes: a warmed automaton without its rows
+    # pickles the same.
+    for p in projections(warmed):
+        p._reset_rows()
+    assert pickle.dumps(warmed) == blob
+    # The copy glues on new graphs as a copy without the memo does (ids
+    # are compared between two copies of one blob, for the same reason).
+    reference = pickle.loads(blob)
+    for p in projections(reference):
+        p.__class__ = PairProductProjection
+    seeds = range(3, 6)
+    assert dominating_set_runs(copy, seeds) \
+        == dominating_set_runs(reference, seeds) \
+        == dominating_set_runs(warmed, seeds)
+    assert any(p._row_count for p in projections(copy))
+    assert tables_and_ids(copy) == tables_and_ids(reference)
+
+
+def test_row_memo_stays_within_its_limit(monkeypatch):
+    phi = formulas.dominating_set(vertex_set("S"))
+    scope = (vertex_set("S"),)
+    unbounded = compiled_with(ProjectionAutomaton, monkeypatch, phi, scope)
+    plain = compiled_with(PairProductProjection, monkeypatch, phi, scope)
+    limit = 16
+    bounded = compiled_with(ProjectionAutomaton, monkeypatch, phi, scope)
+    monkeypatch.setattr(automata, "_ROW_LIMIT", limit)
+    seeds = range(6)
+    optima = dominating_set_runs(plain, seeds)
+    for seed in seeds:
+        assert dominating_set_runs(bounded, [seed]) == [optima[seed]]
+        for p in projections(bounded):
+            assert p._row_count <= limit
+            assert sum(len(rows) for _, rows in p._rows.values()) \
+                == p._row_count
+    monkeypatch.setattr(automata, "_ROW_LIMIT", 10**9)
+    assert dominating_set_runs(unbounded, seeds) == optima
+    assert max(p._row_count for p in projections(unbounded)) > limit
+    assert tables_and_ids(bounded) == tables_and_ids(plain)

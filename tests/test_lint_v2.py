@@ -165,6 +165,23 @@ def program(ctx: NodeContext):
     assert findings, "unbounded width built in a helper must be caught"
 
 
+def test_rl006_charges_helpers_behind_absolute_imports(monkeypatch):
+    # A script outside the package finds ``repro`` on sys.path, as the
+    # interpreter would; the same program inside the package imports
+    # the helper relatively.  Both are charged the helper's sends.
+    monkeypatch.syspath_prepend(str(REPO / "src"))
+    fixture = REPO / "tests" / "lint_fixtures" / "rl006_absolute_import.py"
+    source = fixture.read_text()
+    relative = source.replace("from repro.congest", "from ..congest")
+    widths = []
+    for text, path in ((source, fixture),
+                       (relative, DISTRIBUTED / "leader_fixture.py")):
+        (program,) = discover_programs(ModuleInfo.from_source(text, str(path)))
+        widths.append(certify_program(_expanded(program)).width)
+    assert widths[0] == widths[1]
+    assert widths[0].evaluate(n=1024, d=3, budget=48) == 76
+
+
 # -- interprocedural findings and noqa --------------------------------------
 
 HELPER_VIOLATION = """
