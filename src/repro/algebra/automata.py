@@ -24,7 +24,7 @@ connectives:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import chain
+from itertools import chain, islice
 from typing import (
     Any,
     Callable,
@@ -46,7 +46,13 @@ State = Hashable
 
 
 class TreeAutomaton(ABC):
-    """Deterministic bottom-up automaton over Base/Glue/Forget symbols."""
+    """Deterministic bottom-up automaton over Base/Glue/Forget symbols.
+
+    States are hash-consed: ``leaf``/``glue``/``forget`` return the first
+    object interned equal to each state they compute, so every table key
+    and value, every codec entry and every pickle holds one object per
+    class, and a table hit compares by identity instead of by value.
+    """
 
     def __init__(self, scope: Sequence[Var]):
         self.scope: Tuple[Var, ...] = tuple(scope)
@@ -54,15 +60,40 @@ class TreeAutomaton(ABC):
         self._glue_cache: Dict[Tuple[int, State, State], State] = {}
         self._forget_cache: Dict[Tuple[int, State], State] = {}
         self._intern: Dict[State, int] = {}
+        #: id -> the canonical object of that class; derived from
+        #: ``_intern`` (never pickled, see ``__setstate__``).
+        self._states: List[State] = []
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_states"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # setattr interns the names, as pickle's default does, so a
+        # re-pickled entry shares them with the other components.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._states = []
+        self._sync_states()
+
+    def _sync_states(self) -> None:
+        """Extend the id -> state list to every class ``_intern`` holds.
+
+        ``_intern``'s keys are in id order and are the first objects
+        interned, so the list is rebuilt from them rather than trusted
+        from a pickle; call it after anything extends ``_intern``
+        directly (an unpickle, a journal delta).
+        """
+        self._states.extend(islice(self._intern, len(self._states), None))
 
     # -- public transition API (cached + interning) --------------------
     def leaf(self, symbol: BaseSymbol) -> State:
         """State of the one-vertex graph introduced by ``symbol``."""
         state = self._leaf_cache.get(symbol)
         if state is None:
-            state = self._leaf(symbol)
+            state = self._canonical(self._leaf(symbol))
             self._leaf_cache[symbol] = state
-            self.intern(state)
         return state
 
     def glue(self, boundary: int, s1: State, s2: State) -> State:
@@ -70,9 +101,8 @@ class TreeAutomaton(ABC):
         key = (boundary, s1, s2)
         state = self._glue_cache.get(key)
         if state is None:
-            state = self._glue(boundary, s1, s2)
+            state = self._canonical(self._glue(boundary, s1, s2))
             self._glue_cache[key] = state
-            self.intern(state)
         return state
 
     def forget(self, boundary: int, s: State) -> State:
@@ -80,16 +110,22 @@ class TreeAutomaton(ABC):
         key = (boundary, s)
         state = self._forget_cache.get(key)
         if state is None:
-            state = self._forget(boundary, s)
+            state = self._canonical(self._forget(boundary, s))
             self._forget_cache[key] = state
-            self.intern(state)
         return state
+
+    def _canonical(self, state: State) -> State:
+        """Intern ``state``; the first object interned equal to it."""
+        class_id = self._intern.get(state)
+        if class_id is None:
+            self._intern[state] = len(self._states)
+            self._states.append(state)
+            return state
+        return self._states[class_id]
 
     def intern(self, state: State) -> int:
         """A stable small integer id for ``state`` (message encoding)."""
-        if state not in self._intern:
-            self._intern[state] = len(self._intern)
-        return self._intern[state]
+        return self._intern[self._canonical(state)]
 
     def num_classes(self) -> int:
         """|𝒞_reachable|: homomorphism classes materialized so far."""
@@ -879,17 +915,23 @@ class ProjectionAutomaton(TreeAutomaton):
     """∃X_i: guess the projected variable's bits at each Base symbol and
     re-determinize by the subset construction.
 
+    Glue and Forget visit a subset's members in the inner automaton's
+    class-id order, never in frozenset iteration order: that order
+    follows hashes (on Python < 3.12, ``hash(None)`` follows an address)
+    and insertion history, and the order of inner calls decides the
+    inner class ids.  So ids, and with them
+    :func:`~repro.algebra.cache.transition_table_bytes`, are the same in
+    every process and under every hash seed.
+
     A glue of two subsets S1, S2 is the union over a ∈ S1 of the *row*
     {inner glue(a, b) : b ∈ S2}, and in the COUNT/OPT convergecast one row
     recurs for many S1 sharing a state a.  Rows are memoized per
-    ``(boundary, S2)`` and ``a``, in S2's iteration order, deduplicated.
-    A row is only reused once every inner glue in it has been computed
-    and interned, and the union inserts the inner states in the order
-    the plain pair product would, so class ids, the glued frozensets'
-    iteration order and :func:`~repro.algebra.cache.transition_table_bytes`
-    are exactly those of gluing every pair.  The memo is process-local
-    (never pickled, empty after a load) and bounded by ``_ROW_LIMIT``.
-    Forget needs none: it is linear in |S|, with no pair product.
+    ``(boundary, S2)`` and ``a``, deduplicated.  A row is only reused
+    once every inner glue in it has been computed and interned, so inner
+    glues run, and intern, in exactly the order of gluing every pair.
+    The memo is process-local (never pickled, empty after a load) and
+    bounded by ``_ROW_LIMIT``.  Forget needs none: it is linear in |S|,
+    with no pair product.
     """
 
     def __init__(self, inner: TreeAutomaton, var: Var):
@@ -902,7 +944,7 @@ class ProjectionAutomaton(TreeAutomaton):
         self._reset_rows()
 
     def _reset_rows(self) -> None:
-        # (boundary, S2) -> (S2's iteration order, {a: row}).
+        # (boundary, S2) -> (S2's members in id order, {a: row}).
         self._rows: Dict[
             Tuple[int, State],
             Tuple[Tuple[State, ...], Dict[State, Tuple[State, ...]]],
@@ -910,16 +952,17 @@ class ProjectionAutomaton(TreeAutomaton):
         self._row_count = 0
 
     def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         del state["_rows"], state["_row_count"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # setattr interns the names, as pickle's default does, so a
-        # re-pickled entry shares them with the other components.
-        for name, value in state.items():
-            setattr(self, name, value)
+        super().__setstate__(state)
         self._reset_rows()
+
+    def _members(self, s: State) -> List[State]:
+        """The members of subset ``s`` in the inner automaton's id order."""
+        return sorted(s, key=self._inner._intern.__getitem__)
 
     def _leaf(self, symbol: BaseSymbol) -> State:
         return frozenset(
@@ -930,20 +973,14 @@ class ProjectionAutomaton(TreeAutomaton):
     def _glue(self, boundary: int, s1: State, s2: State) -> State:
         if self._row_count >= _ROW_LIMIT:
             self._reset_rows()
-        order = tuple(s2)
         key = (boundary, s2)
         memo = self._rows.get(key)
-        # An equal S2 may iterate in another order; its rows would then
-        # feed the union in another order, so they are rebuilt.
-        if memo is None or memo[0] != order:
-            if memo is not None:
-                self._row_count -= len(memo[1])
-            memo = (order, {})
-            self._rows[key] = memo
-        rows = memo[1]
+        if memo is None:
+            memo = self._rows[key] = (tuple(self._members(s2)), {})
+        order, rows = memo
         glue = self._inner.glue
         union = []
-        for a in s1:
+        for a in self._members(s1):
             row = rows.get(a)
             if row is None:
                 row = tuple(dict.fromkeys([glue(boundary, a, b) for b in order]))
@@ -954,7 +991,8 @@ class ProjectionAutomaton(TreeAutomaton):
         return frozenset(chain.from_iterable(union))
 
     def _forget(self, boundary: int, s: State) -> State:
-        return frozenset(self._inner.forget(boundary, a) for a in s)
+        forget = self._inner.forget
+        return frozenset(forget(boundary, a) for a in self._members(s))
 
     def accepts(self, state: State) -> bool:
         return any(self._inner.accepts(a) for a in state)

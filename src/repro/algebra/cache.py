@@ -69,7 +69,11 @@ from .minimize import _VARIANTS_ATTR
 #: 4: an entry file is a journal — a snapshot record plus appended delta
 #: records, each framed ``length | crc32 | pickle bytes`` — instead of
 #: one bare pickle.
-CACHE_VERSION = 4
+#: 5: states are hash-consed (one object per class in every table, so a
+#: pickle holds each state once), and subset-construction members are
+#: visited in class-id order, which fixes the ids inner components
+#: assign; a version-4 entry would keep growing its duplicated states.
+CACHE_VERSION = 5
 
 __all__ = [
     "CACHE_VERSION",
@@ -206,7 +210,10 @@ def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
     Covers the leaf / glue / forget caches and the class-id interning of
     the automaton and all its composite components, sorted canonically —
     two automata compiled from the same formula (and warmed on the same
-    runs) serialize to identical bytes in any process.
+    runs) serialize to identical bytes in any process and under any
+    hash seed: states are spelled by value, and the subset construction
+    interns inner states in class-id order, never in frozenset iteration
+    order (see :class:`~repro.algebra.automata.ProjectionAutomaton`).
     """
     memo: Dict[Any, str] = {}
     digests: Dict[str, str] = {}
@@ -405,9 +412,10 @@ def _delta_fits(entry: Tuple[TreeAutomaton, Any], delta: Any) -> bool:
     return True
 
 
-def _extend(tables: Sequence[dict], tails: Sequence[dict]) -> None:
-    for table, tail in zip(tables, tails):
+def _extend(automaton: TreeAutomaton, tails: Sequence[dict]) -> None:
+    for table, tail in zip(_op_tables(automaton), tails):
         table.update(tail)
+    automaton._sync_states()
 
 
 def _apply_delta(entry: Tuple[TreeAutomaton, Any], delta: Any) -> None:
@@ -417,11 +425,11 @@ def _apply_delta(entry: Tuple[TreeAutomaton, Any], delta: Any) -> None:
     for component, (tails, new_variants, wrapper_tails) in zip(
         _component_automata(automaton), parts
     ):
-        _extend(_op_tables(component), tails)
+        _extend(component, tails)
         for wrapper, tail in zip(
             _wrappers(_variants(component).values()), wrapper_tails
         ):
-            _extend(_op_tables(wrapper), tail)
+            _extend(wrapper, tail)
         if new_variants:
             variants = getattr(component, _VARIANTS_ATTR, None)
             if variants is None:

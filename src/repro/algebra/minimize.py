@@ -61,9 +61,10 @@ error.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ReproError
 from ..graph import Graph
@@ -514,6 +515,11 @@ class MinimizedAutomaton(TreeAutomaton):
     which the one Theorem 6.1 driver calls once per run with the
     recovered forest's depth; any other caller must make the same
     ``closure_depth`` check.
+
+    The wrapper refers to ``inner`` weakly: :func:`minimized_automaton`
+    memoizes it on ``inner``, and a strong link back would make every
+    cache entry a reference cycle that only the cyclic garbage collector
+    frees.  Keep ``inner`` alive while the wrapper is in use.
     """
 
     def __init__(self, inner: TreeAutomaton,
@@ -521,10 +527,26 @@ class MinimizedAutomaton(TreeAutomaton):
                  stats: MinimizationStats,
                  closure_depth: int):
         super().__init__(inner.scope)
-        self._inner = inner
+        self._inner_ref = weakref.ref(inner)
         self._quotient = quotient
         self.stats = stats
         self.closure_depth = closure_depth
+
+    @property
+    def _inner(self) -> TreeAutomaton:
+        inner = self._inner_ref()
+        if inner is None:
+            raise ReproError("the automaton this wrapper minimizes is gone")
+        return inner
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = super().__getstate__()
+        state["_inner_ref"] = self._inner
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state, _inner_ref=weakref.ref(state["_inner_ref"]))
+        super().__setstate__(state)
 
     def canon(self, boundary: int, state: State) -> State:
         """The class representative of ``state`` at ``boundary``.

@@ -10,14 +10,18 @@ about.
 
 Registration is idempotent per qualified name: re-invoking a factory
 re-registers the same qualname rather than growing the table, so factories
-may decorate their closures freely.
+may decorate their closures freely.  The registry refers to programs
+weakly: a factory's closure captures its run's automaton and codec, and
+must not keep them alive after the run.  A module-level program lives as
+long as its module; a closure is listed while something still runs it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-_REGISTRY: Dict[str, Callable] = {}
+_REGISTRY: Dict[str, weakref.ref[Callable]] = {}
 
 
 def node_program(
@@ -48,7 +52,7 @@ def node_program(
         target.__repro_node_program__ = True
         target.__repro_bits__ = bits
         target.__repro_rounds__ = rounds
-        _REGISTRY[key] = target
+        _REGISTRY[key] = weakref.ref(target)
         return target
 
     if func is not None:
@@ -57,11 +61,11 @@ def node_program(
 
 
 def registered_programs() -> Dict[str, Callable]:
-    """A snapshot of the registry: qualified name -> program function."""
-    return dict(_REGISTRY)
+    """A snapshot of the registry: qualified name -> live program function."""
+    live = ((key, ref()) for key, ref in _REGISTRY.items())
+    return {key: func for key, func in live if func is not None}
 
 
 def iter_registered() -> Iterator[Tuple[str, Callable]]:
-    """Iterate (name, program) pairs in deterministic (sorted) order."""
-    for key in sorted(_REGISTRY):
-        yield key, _REGISTRY[key]
+    """Iterate live (name, program) pairs in deterministic (sorted) order."""
+    yield from sorted(registered_programs().items())

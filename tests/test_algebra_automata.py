@@ -256,11 +256,13 @@ def test_intern_and_num_classes():
 # ----------------------------------------------------------------------
 
 class PairProductProjection(ProjectionAutomaton):
-    """The subset-construction glue without the row memo: every pair."""
+    """The subset-construction glue without the row memo: every pair,
+    in the inner automaton's class-id order."""
 
     def _glue(self, boundary, s1, s2):
         return frozenset(
-            self._inner.glue(boundary, a, b) for a in s1 for b in s2
+            self._inner.glue(boundary, a, b)
+            for a in self._members(s1) for b in self._members(s2)
         )
 
 
@@ -323,7 +325,7 @@ def three_colourable_runs(automaton, seeds):
     (dominating_set_runs, formulas.dominating_set(vertex_set("S")),
      (vertex_set("S"),)),
     # Three nested projections: an inner projection's ids depend on the
-    # iteration order of the outer projection's glued frozensets.
+    # order in which the outer projection visits subset members.
     (three_colourable_runs, formulas.k_colorable(3), ()),
 ])
 def test_row_memo_matches_pair_product(monkeypatch, runs, phi, scope):
@@ -361,8 +363,9 @@ def test_row_memo_is_not_pickled(monkeypatch):
     for p in projections(warmed):
         p._reset_rows()
     assert pickle.dumps(warmed) == blob
-    # The copy glues on new graphs as a copy without the memo does (ids
-    # are compared between two copies of one blob, for the same reason).
+    # The copy glues on new graphs as a copy without the memo does, and
+    # interns as the automaton it was pickled from: members are visited
+    # in id order, whatever order the unpickled frozensets iterate in.
     reference = pickle.loads(blob)
     for p in projections(reference):
         p.__class__ = PairProductProjection
@@ -372,6 +375,7 @@ def test_row_memo_is_not_pickled(monkeypatch):
         == dominating_set_runs(warmed, seeds)
     assert any(p._row_count for p in projections(copy))
     assert tables_and_ids(copy) == tables_and_ids(reference)
+    assert transition_table_bytes(copy) == transition_table_bytes(warmed)
 
 
 def test_row_memo_stays_within_its_limit(monkeypatch):

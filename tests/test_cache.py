@@ -6,8 +6,14 @@ transition-table bytes; cache hits must not change verdicts; bumping the
 cache version must invalidate on-disk entries.
 """
 
+import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +27,13 @@ from repro.algebra import (
     transition_table_bytes,
 )
 from repro.algebra import cache as cache_module
+from repro.algebra.automata import (
+    ComplementAutomaton,
+    ProductAutomaton,
+    ProjectionAutomaton,
+    TreeAutomaton,
+)
+from repro.algebra.minimize import MinimizedAutomaton
 from repro.api import Session
 from repro.graph import generators as gen
 from repro.mso import formulas
@@ -382,6 +395,245 @@ def test_failed_append_falls_back_to_a_snapshot(tmp_path, monkeypatch):
     key = cache.key(formulas.triangle_free(), d=3)
     _assert_same_entry(AutomatonCache(tmp_path)._load(key),
                        cache._memory[key])
+
+
+# -- hash-consed states ------------------------------------------------------
+
+def _components(automaton):
+    """Every component of ``automaton`` and every minimized wrapper."""
+    components = list(cache_module._component_automata(automaton))
+    return components + [
+        wrapper
+        for component in components
+        for wrapper in cache_module._variants(component).values()
+        if wrapper is not None
+    ]
+
+
+def _table_states(automaton):
+    """Every state one automaton's tables hold, as keys and as values."""
+    yield from automaton._leaf_cache.values()
+    for (_, s1, s2), state in automaton._glue_cache.items():
+        yield from (s1, s2, state)
+    for (_, s), state in automaton._forget_cache.items():
+        yield from (s, state)
+    yield from automaton._intern
+
+
+def _parts(component, state):
+    """(sub-automaton, sub-state) pairs a composite state is built of."""
+    if isinstance(component, ProductAutomaton):
+        return zip(component._children, state)
+    if isinstance(component, ProjectionAutomaton):
+        return ((component._inner, member) for member in state)
+    if isinstance(component, ComplementAutomaton):
+        return [(component._inner, state)]
+    return []
+
+
+def _is_canonical(automaton, state):
+    return automaton._states[automaton._intern[state]] is state
+
+
+def _assert_hash_consed(entry):
+    """Each state in every table, in every composite state and in the
+    codec is the one object its automaton interned for that class."""
+    automaton, codec = entry
+    for component in _components(automaton):
+        assert list(component._intern.values()) \
+            == list(range(len(component._states)))
+        for state in _table_states(component):
+            assert _is_canonical(component, state)
+        for state in component._states:
+            for part_automaton, part in _parts(component, state):
+                assert _is_canonical(part_automaton, part)
+    for class_id, state in enumerate(codec._by_id):
+        assert _is_canonical(automaton, state)
+        assert codec._ids[state] == class_id
+
+
+_DOMINATING = formulas.dominating_set()
+_COLOURABLE = formulas.k_colorable(3)
+
+
+def _consing_runs(cache, graphs):
+    """Warm dominating-set and 3-colourable runs on one cache."""
+    answers = []
+    for graph in graphs:
+        session = Session(graph, d=3, cache=cache)
+        answers.append(session.count(_DOMINATING).count)
+        answers.append(session.optimize(_DOMINATING, sense="min").value)
+        answers.append(session.decide(_COLOURABLE).verdict)
+    return answers
+
+
+_CONSING_GRAPHS = [gen.random_bounded_treedepth(n, 3, 0.5, seed=seed)
+                   for n, seed in ((8, 1), (9, 2), (10, 3))]
+
+
+def test_warm_tables_and_codec_hold_one_object_per_class():
+    cache = AutomatonCache(persist=False)
+    _consing_runs(cache, _CONSING_GRAPHS)
+    assert len(cache._memory) == 2  # count and optimize share one entry
+    for entry in cache._memory.values():
+        _assert_hash_consed(entry)
+
+
+def test_loaded_journal_stays_hash_consed_as_it_grows(tmp_path):
+    # acyclic is minimized at d=3, so its entry journals a wrapper too.
+    phis = (formulas.triangle_free(), formulas.acyclic())
+    writer = AutomatonCache(tmp_path)
+    for graph in _GROWTH:
+        for phi in phis:
+            _decide(writer, graph, phi)
+    _consing_runs(writer, _CONSING_GRAPHS)
+    records = [entry["records"] for entry in writer.stats()["entries"]]
+    assert len(records) == 4 and min(records) >= 3  # two deltas or more
+    assert any(
+        isinstance(component, MinimizedAutomaton)
+        for automaton, _ in writer._memory.values()
+        for component in _components(automaton)
+    )
+
+    reader = AutomatonCache(tmp_path)
+    for key, written in writer._memory.items():
+        loaded = reader._load(key)
+        _assert_same_entry(loaded, written)
+        _assert_hash_consed(loaded)
+        reader._memory[key] = loaded
+        reader._cursors[key] = cache_module._cursor(loaded)
+    grown = {key: cache_module._cursor(entry)
+             for key, entry in reader._memory.items()}
+    graph = gen.random_bounded_treedepth(14, 3, 0.5, seed=11)
+    for phi in phis:
+        _decide(reader, graph, phi)
+    _consing_runs(reader, [graph])
+    assert reader.disk_loads == 4 and reader.misses == 0
+    for key, entry in reader._memory.items():
+        assert cache_module._cursor(entry) != grown[key]
+        _assert_hash_consed(entry)
+
+
+def _fresh_objects(monkeypatch):
+    """A kernel without hash-consing: each table keeps the state object
+    its transition built; only the class-id table dedupes by value."""
+
+    def leaf(self, symbol):
+        state = self._leaf_cache.get(symbol)
+        if state is None:
+            state = self._leaf_cache[symbol] = self._leaf(symbol)
+            self._canonical(state)
+        return state
+
+    def glue(self, boundary, s1, s2):
+        key = (boundary, s1, s2)
+        state = self._glue_cache.get(key)
+        if state is None:
+            state = self._glue_cache[key] = self._glue(boundary, s1, s2)
+            self._canonical(state)
+        return state
+
+    def forget(self, boundary, s):
+        key = (boundary, s)
+        state = self._forget_cache.get(key)
+        if state is None:
+            state = self._forget_cache[key] = self._forget(boundary, s)
+            self._canonical(state)
+        return state
+
+    for name, op in (("leaf", leaf), ("glue", glue), ("forget", forget)):
+        monkeypatch.setattr(TreeAutomaton, name, op)
+
+
+def test_hash_consing_keeps_every_table_line_and_the_codec_order(
+        monkeypatch):
+    consing = AutomatonCache(persist=False)
+    answers = _consing_runs(consing, _CONSING_GRAPHS)
+    with monkeypatch.context() as patch:
+        _fresh_objects(patch)
+        plain = AutomatonCache(persist=False)
+        assert _consing_runs(plain, _CONSING_GRAPHS) == answers
+    duplicates = sum(
+        not _is_canonical(component, state)
+        for automaton, _ in plain._memory.values()
+        for component in _components(automaton)
+        for state in _table_states(component)
+    )
+    assert duplicates > 0  # the reference really keeps fresh objects
+    assert list(plain._memory) == list(consing._memory)
+    for key, (automaton, codec) in consing._memory.items():
+        reference, reference_codec = plain._memory[key]
+        assert transition_table_bytes(automaton) \
+            == transition_table_bytes(reference)
+        assert codec._by_id == reference_codec._by_id
+
+
+_TABLE_DIGEST = """
+import hashlib
+from repro.algebra import AutomatonCache, transition_table_bytes
+from repro.algebra.cache import _canon_str
+from repro.api import Session
+from repro.graph import generators as gen
+from repro.mso import formulas
+
+cache = AutomatonCache(persist=False)
+for n, seed in ((10, 1), (11, 2), (12, 3)):
+    session = Session(gen.random_bounded_treedepth(n, 3, 0.5, seed=seed),
+                      d=3, cache=cache)
+    session.count(formulas.dominating_set())
+    session.decide(formulas.k_colorable(3))
+for automaton, codec in cache._memory.values():
+    memo = {}
+    order = "|".join(_canon_str(state, memo) for state in codec._by_id)
+    print(hashlib.sha256(transition_table_bytes(automaton)).hexdigest(),
+          hashlib.sha256(order.encode()).hexdigest())
+"""
+
+
+def test_table_bytes_agree_across_processes_and_hash_seeds():
+    # Before Python 3.12 ``hash(None)`` follows the address of None, so
+    # frozenset iteration order moves between processes even under one
+    # PYTHONHASHSEED; the subset construction must not depend on it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for seed in ("1", "1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-c", _TABLE_DIGEST],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        digests.append(run.stdout)
+    assert digests[0].count("\n") == 2
+    assert digests[0] == digests[1] == digests[2]
+
+
+def test_dropped_cache_frees_its_automata_without_the_cycle_collector(
+        tmp_path):
+    # acyclic is minimized at d=3: its wrapper is memoized on the
+    # automaton it wraps, and must not point back at it strongly.
+    phis = (formulas.triangle_free(), formulas.acyclic())
+
+    def warmed_entries():
+        cache = AutomatonCache(tmp_path)
+        for graph in _GROWTH[:2]:
+            for phi in phis:
+                _decide(cache, graph, phi)
+        objects = [
+            obj for automaton, codec in cache._memory.values()
+            for obj in _components(automaton) + [codec]
+        ]
+        assert any(isinstance(obj, MinimizedAutomaton) for obj in objects)
+        return cache.disk_loads, [weakref.ref(obj) for obj in objects]
+
+    gc.collect()
+    gc.disable()
+    try:
+        for loads in (0, 2):  # compiled, then loaded from disk
+            disk_loads, refs = warmed_entries()
+            assert disk_loads == loads
+            assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 # -- stats ------------------------------------------------------------------
