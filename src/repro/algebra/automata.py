@@ -27,10 +27,10 @@ from abc import ABC, abstractmethod
 from itertools import chain, islice
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -113,6 +113,18 @@ class TreeAutomaton(ABC):
             state = self._canonical(self._forget(boundary, s))
             self._forget_cache[key] = state
         return state
+
+    def close(self, boundary: int, state: State, children: Iterable[State]) -> State:
+        """Forget(Glue(state, children...)): one node's step of Algorithm 1.
+
+        ``state`` is the node's Base class and ``children`` its children's
+        closed classes, glued in the order given; the node then becomes
+        interior.  The sequential engine, the decision convergecast and
+        the certificate verifier all take this step.
+        """
+        for child in children:
+            state = self.glue(boundary, state, child)
+        return self.forget(boundary, state)
 
     def _canonical(self, state: State) -> State:
         """Intern ``state``; the first object interned equal to it."""

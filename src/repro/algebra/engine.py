@@ -9,7 +9,10 @@ Runs a compiled tree automaton bottom-up over an elimination forest:
                              top-down reconstruction (Lemma 4.6),
 * :func:`count`            — number of satisfying assignments (Section 6).
 
-The same per-node recurrence is reused verbatim by the CONGEST protocols;
+Every vertex takes the paper's step Forget(Glue(Base_v, child classes)):
+:meth:`TreeAutomaton.close <repro.algebra.automata.TreeAutomaton.close>`
+is that step, shared with the decision convergecast and the certificate
+verifier (the counting and optimization tables glue class by class);
 here the "messages" are ordinary function returns.
 """
 
@@ -26,7 +29,6 @@ from ..treedepth import EliminationForest
 from .automata import State, TreeAutomaton
 from .compiler import compile_formula
 from .symbols import (
-    BaseStructure,
     SymbolChoice,
     base_structure,
     enumerate_symbol_choices,
@@ -44,6 +46,32 @@ def _require_valid(graph: Graph, forest: EliminationForest) -> None:
 # Decision (Lemma 4.3)
 # ----------------------------------------------------------------------
 
+def subtree_states(
+    automaton: TreeAutomaton,
+    graph: Graph,
+    forest: EliminationForest,
+    assignment: Optional[Dict[sx.Var, Any]] = None,
+) -> Dict[Vertex, State]:
+    """Bottom-up run; the class of every vertex's closed subtree."""
+    if graph.num_vertices() == 0:
+        raise ReproError("the algebra run needs at least one vertex")
+    assignment = assignment or {}
+    with profiled("algebra.run_states"):
+        state_after: Dict[Vertex, State] = {}
+        for v in forest.bottom_up_order():
+            structure = base_structure(graph, forest, v)
+            vertex_item, edge_items = owned_items(graph, forest, v)
+            symbol = symbol_for_assignment(
+                structure, automaton.scope, vertex_item, edge_items, assignment
+            )
+            state_after[v] = automaton.close(
+                forest.depth_of(v),
+                automaton.leaf(symbol),
+                [state_after[child] for child in forest.children(v)],
+            )
+        return state_after
+
+
 def run_states(
     automaton: TreeAutomaton,
     graph: Graph,
@@ -51,28 +79,13 @@ def run_states(
     assignment: Optional[Dict[sx.Var, Any]] = None,
 ) -> State:
     """Bottom-up run; returns the homomorphism class of the whole graph."""
-    if graph.num_vertices() == 0:
-        raise ReproError("the algebra run needs at least one vertex")
-    assignment = assignment or {}
-    with profiled("algebra.run_states"):
-        state_after: Dict[Vertex, State] = {}
-        for v in forest.bottom_up_order():
-            k = forest.depth_of(v)
-            structure = base_structure(graph, forest, v)
-            vertex_item, edge_items = owned_items(graph, forest, v)
-            symbol = symbol_for_assignment(
-                structure, automaton.scope, vertex_item, edge_items, assignment
-            )
-            state = automaton.leaf(symbol)
-            for child in forest.children(v):
-                state = automaton.glue(k, state, state_after.pop(child))
-            state_after[v] = automaton.forget(k, state)
-        total: Optional[State] = None
-        for root in forest.roots():
-            s = state_after.pop(root)
-            total = s if total is None else automaton.glue(0, total, s)
-        assert total is not None
-        return total
+    state_after = subtree_states(automaton, graph, forest, assignment)
+    total: Optional[State] = None
+    for root in forest.roots():
+        s = state_after[root]
+        total = s if total is None else automaton.glue(0, total, s)
+    assert total is not None
+    return total
 
 
 def check(

@@ -434,7 +434,10 @@ class Session:
 
         Raises :class:`repro.errors.CertificationError` when the graph
         does not satisfy ``phi`` (a prover cannot certify a false
-        statement).  Fault/retry session knobs do not apply: the prover is
+        statement), and :class:`repro.errors.ProtocolError` when the
+        graph is disconnected, as :meth:`decide` does: the verifier's
+        root check only covers the whole network when there is one root.
+        Fault/retry session knobs do not apply: the prover is
         centralized and the verifier runs a single round.
         """
         phi = self._formula(phi)

@@ -20,7 +20,11 @@ Completeness: honest certificates from a valid elimination forest are
 accepted everywhere.  Soundness: if G ⊭ φ, any certificate assignment is
 rejected by some node — the structural checks force the bags to describe a
 genuine elimination forest, and then the class recomputation forces the
-root's class to be the true one, which is rejecting.  (Both directions are
+root's class to be the true one, which is rejecting.  This needs G
+connected, so that the forest is one tree: a root only sees its own
+component's class, and each of two components can be connected while G
+is not.  ``prove`` and ``verify`` refuse a disconnected network, as the
+decision pipeline does.  (Both directions are
 exercised by the test-suite's corruption fuzzing.)
 
 Complexity contrast with Theorem 6.1 (benchmark E8): verification is a
@@ -34,12 +38,18 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..algebra import TreeAutomaton
-from ..algebra.symbols import base_structure, owned_items, symbol_for_assignment
-from ..congest import Inbox, NodeContext, payload_bits, run_protocol
+from ..algebra.engine import subtree_states
+from ..congest import (
+    Inbox,
+    NodeContext,
+    payload_bits,
+    require_connected,
+    run_protocol,
+)
 from ..errors import CertificationError, ReproError
 from ..graph import Graph, Vertex
 from ..treedepth import EliminationForest, dfs_elimination_forest
-from ..distributed.model_checking import ClassCodec
+from ..distributed.model_checking import ClassCodec, local_base_symbol
 
 
 Certificate = Tuple[Any, int, Tuple[Vertex, ...], int]  # parent, depth, bag, class
@@ -66,6 +76,7 @@ def prove(
     """
     if automaton.scope:
         raise CertificationError("certification works on closed formulas")
+    require_connected(graph)
     if forest is None:
         forest = dfs_elimination_forest(graph)
     forest.validate_for(graph)
@@ -75,19 +86,11 @@ def prove(
         # always qualifies; depth <= 2^td by Lemma 2.5).
         raise CertificationError("prover forest must be a subforest of the graph")
     codec = ClassCodec(automaton)
-    state_after: Dict[Vertex, Any] = {}
-    for v in forest.bottom_up_order():
-        k = forest.depth_of(v)
-        structure = base_structure(graph, forest, v)
-        vertex_item, edge_items = owned_items(graph, forest, v)
-        symbol = symbol_for_assignment(structure, (), vertex_item, edge_items, {})
-        state = automaton.leaf(symbol)
-        for child in forest.children(v):
-            state = automaton.glue(k, state, state_after[child])
-        state_after[v] = automaton.forget(k, state)
-    for root in forest.roots():
-        if not automaton.accepts(state_after[root]):
-            raise CertificationError("instance does not satisfy the property")
+    state_after = subtree_states(automaton, graph, forest)
+    # A connected graph's elimination forest is one tree.
+    (root,) = forest.roots()
+    if not automaton.accepts(state_after[root]):
+        raise CertificationError("instance does not satisfy the property")
     certificates = {}
     max_bits = 0
     for v in forest.vertices():
@@ -150,36 +153,24 @@ def verifier_program(automaton: TreeAutomaton, codec: ClassCodec):
                 return False
 
         # -- semantic check: recompute the subtree class ------------------
-        from ..algebra.symbols import BaseStructure, BaseSymbol
-
         positions = tuple(
             pos for pos, ancestor in enumerate(bag[:-1], start=1)
             if ancestor in ctx.neighbors
         )
-        structure = BaseStructure(
-            depth=depth,
-            anc_edges=positions,
-            vlabels=frozenset(ctx.input.get("labels", ())),
-            elabels=tuple(
-                (pos, frozenset(ctx.input.get("edge_labels", {}).get(pos, ())))
-                for pos in positions
-            ),
+        symbol = local_base_symbol(
+            {**ctx.input, "depth": depth, "anc_edge_positions": positions}
         )
-        symbol = BaseSymbol(structure=structure, vbits=frozenset(), ebits=tuple(
-            (pos, frozenset()) for pos in positions
-        ))
         children = sorted(
             u
             for u, (u_parent, u_depth, _, _) in neighbor_certs.items()
             if u_parent == ctx.node and u_depth == depth + 1
         )
         try:
-            state = automaton.leaf(symbol)
-            for child in children:
-                state = automaton.glue(
-                    depth, state, codec.decode(neighbor_certs[child][3])
-                )
-            state = automaton.forget(depth, state)
+            state = automaton.close(
+                depth,
+                automaton.leaf(symbol),
+                [codec.decode(neighbor_certs[child][3]) for child in children],
+            )
         except ReproError:
             # Forged certificates can make the recomputation structurally
             # impossible (e.g. a child class from the wrong boundary size);
@@ -217,6 +208,7 @@ def verify(
     certificates with its neighbors, and certificate size *is* the
     complexity measure).
     """
+    require_connected(graph)
     inputs: Dict[Vertex, Dict[str, Any]] = {}
     for v in graph.vertices():
         edge_labels = {}

@@ -54,6 +54,38 @@ def default_budget(n: int, multiplier: int = 4) -> int:
     return max(48, multiplier * math.ceil(math.log2(n)))
 
 
+def node_program(
+    func: Optional[Callable] = None,
+    *,
+    bits: str = "O(log n)",
+    rounds: Optional[str] = None,
+) -> Callable:
+    """Declare a CONGEST node program (usable bare or as ``@node_program(...)``).
+
+    The declaration lives in the source: ``repro lint`` finds decorated
+    functions and reads ``bits`` and ``rounds`` from the decorator call.
+    At run time the function is returned unchanged and nothing is
+    recorded.
+
+    ``bits`` declares the program's per-message CONGEST budget family —
+    one of ``"O(1)"``, ``"O(log n)"`` (the default, the paper's regime),
+    or ``"O(d log n)"``.  ``rounds``, when given, is an arithmetic
+    expression over ``n`` and ``d`` (e.g. ``"20 + 6*2**d + 2*n"``)
+    bounding the number of communication rounds.  Both declarations are
+    certified statically by ``repro lint`` (RL006) and checked against
+    observed run metrics by ``repro lint --verify-runs`` (RL009).
+    """
+    if func is not None:
+        return func
+    return lambda target: target
+
+
+def require_connected(graph: Graph) -> None:
+    """Refuse a network the CONGEST protocols cannot cover end to end."""
+    if not graph.is_connected():
+        raise ProtocolError("CONGEST requires a connected network")
+
+
 class NodeContext:
     """What a node knows and can do.
 

@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from ..congest import Inbox, NodeContext, node_program, ordered_inbox, run_protocol
+from ..congest import (
+    Inbox,
+    NodeContext,
+    node_program,
+    ordered_inbox,
+    require_connected,
+    run_protocol,
+)
 from ..errors import ProtocolError
 from ..graph import Graph, Vertex, canonical_edge
 from ..runconfig import RunConfig, resolve_tracer
@@ -85,8 +92,7 @@ def gather_decide(
     Of ``config`` (default ``RunConfig()``) only the budget, delivery
     order, seed, fault plan and tracer apply to this protocol.
     """
-    if not graph.is_connected():
-        raise ProtocolError("CONGEST requires a connected network")
+    require_connected(graph)
     cfg = config or RunConfig()
     inputs = {v: {"m": graph.num_edges()} for v in graph.vertices()}
     result = run_protocol(

@@ -46,13 +46,6 @@ def _count_to_digits(count: int) -> List[int]:
     return digits
 
 
-def _digits_to_count(digits: List[int]) -> int:
-    total = 0
-    for i, digit in enumerate(digits):
-        total |= digit << (_CHUNK_BITS * i)
-    return total
-
-
 def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
     """Node program factory for the counting convergecast."""
 
@@ -64,7 +57,7 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
         bag: Tuple[Vertex, ...] = tuple(ctx.input["bag"])
         positions: Tuple[int, ...] = tuple(ctx.input["anc_edge_positions"])
 
-        base = local_base_symbol(ctx, automaton.scope)
+        base = local_base_symbol(ctx.input)
         owned_edges = [
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]

@@ -34,9 +34,10 @@ from ..congest import (
     default_budget,
     leader_election,
     node_program,
+    require_connected,
     run_protocol,
 )
-from ..errors import DecompositionError, FaultToleranceExceeded, ProtocolError
+from ..errors import DecompositionError, FaultToleranceExceeded
 from ..graph import Graph, Vertex
 from ..obs import maybe_phase
 from ..runconfig import RunConfig, resolve_tracer
@@ -239,8 +240,7 @@ def build_elimination_tree(
     a rejection from a run that saw any injected fault raises too: lost
     messages alone can make a node report td(G) > d.
     """
-    if not graph.is_connected():
-        raise ProtocolError("CONGEST requires a connected network")
+    require_connected(graph)
     cfg = config or RunConfig()
     tracer = resolve_tracer(cfg.trace)
     inputs = {v: {"d": d} for v in graph.vertices()}

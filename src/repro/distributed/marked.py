@@ -46,7 +46,7 @@ def optmarked_program(
         bag: Tuple[Vertex, ...] = tuple(ctx.input["bag"])
         positions: Tuple[int, ...] = tuple(ctx.input["anc_edge_positions"])
 
-        base_marked = local_base_symbol(ctx, automaton.scope)  # vbits/ebits = marks
+        base_marked = local_base_symbol(ctx.input)  # vbits/ebits = marks
         owned_edges = [
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]

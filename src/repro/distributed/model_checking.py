@@ -24,7 +24,7 @@ distributed analogue of hard-coding 𝒞 and ⊙_f into every node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from ..algebra import TreeAutomaton
 from ..algebra.minimize import graph_label_alphabet, minimized_automaton
@@ -98,31 +98,30 @@ class ClassCodec:
         return len(self._by_id)
 
 
-def local_base_symbol(ctx: NodeContext, scope: Tuple[sx.Var, ...]) -> BaseSymbol:
-    """Build the node's Base symbol from purely local inputs.
+def local_base_symbol(inputs: Mapping[str, Any]) -> BaseSymbol:
+    """Build a node's Base symbol from its purely local inputs.
 
-    ``ctx.input`` carries: depth, bag, anc_edge_positions, labels,
-    edge_labels (ancestor position -> labels), and per-variable membership
-    bits when the run checks a fixed assignment (optmarked / labeled runs).
+    ``inputs`` (a node's ``ctx.input``) carries: depth,
+    anc_edge_positions, labels, edge_labels (ancestor position ->
+    labels), and per-variable membership bits when the run checks a
+    fixed assignment (optmarked / labeled runs).
     """
-    depth = ctx.input["depth"]
-    positions = tuple(ctx.input["anc_edge_positions"])
-    elabels = tuple(
-        (pos, frozenset(ctx.input.get("edge_labels", {}).get(pos, ())))
-        for pos in positions
-    )
+    positions = tuple(inputs["anc_edge_positions"])
+    edge_labels = inputs.get("edge_labels", {})
+    ebits = inputs.get("ebits", {})
     structure = BaseStructure(
-        depth=depth,
+        depth=inputs["depth"],
         anc_edges=positions,
-        vlabels=frozenset(ctx.input.get("labels", ())),
-        elabels=elabels,
+        vlabels=frozenset(inputs.get("labels", ())),
+        elabels=tuple(
+            (pos, frozenset(edge_labels.get(pos, ()))) for pos in positions
+        ),
     )
-    vbits = frozenset(ctx.input.get("vbits", ()))
-    ebits = tuple(
-        (pos, frozenset(ctx.input.get("ebits", {}).get(pos, ())))
-        for pos in positions
+    return BaseSymbol(
+        structure=structure,
+        vbits=frozenset(inputs.get("vbits", ())),
+        ebits=tuple((pos, frozenset(ebits.get(pos, ()))) for pos in positions),
     )
-    return BaseSymbol(structure=structure, vbits=vbits, ebits=ebits)
 
 
 def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
@@ -134,8 +133,7 @@ def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
         children: Tuple[Vertex, ...] = tuple(ctx.input["children"])
         parent: Optional[Vertex] = ctx.input["parent"]
 
-        symbol = local_base_symbol(ctx, automaton.scope)
-        state = automaton.leaf(symbol)
+        state = automaton.leaf(local_base_symbol(ctx.input))
         pending = set(children)
         child_states: Dict[Vertex, Any] = {}
         # Bottom-up phase: wait for every child's class.
@@ -151,9 +149,9 @@ def decision_program(automaton: TreeAutomaton, codec: ClassCodec):
                     ):
                         child_states[sender] = codec.decode(payload[1])
                         pending.discard(sender)
-            for child in children:
-                state = automaton.glue(depth, state, child_states[child])
-            state = automaton.forget(depth, state)
+            state = automaton.close(
+                depth, state, [child_states[child] for child in children]
+            )
             if parent is not None:
                 ctx.send(parent, ("class", codec.encode(state)))
         # Top-down verdict flood.

@@ -72,7 +72,7 @@ def optimization_program(
         positions: Tuple[int, ...] = tuple(ctx.input["anc_edge_positions"])
 
         # -- local leaf table over owned-item choices ---------------------
-        base = local_base_symbol(ctx, automaton.scope)
+        base = local_base_symbol(ctx.input)
         owned_edges = [
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]

@@ -19,18 +19,6 @@ class DecompositionError(ReproError):
     """An elimination forest or tree decomposition is invalid."""
 
 
-class TreedepthExceededError(ReproError):
-    """The input graph has treedepth larger than the promised bound.
-
-    Distributed protocols report this instead of silently mis-deciding,
-    mirroring the paper's "reports td(G) > d" outcome (Theorem 6.1).
-    """
-
-    def __init__(self, bound: int, message: str = ""):
-        self.bound = bound
-        super().__init__(message or f"graph has treedepth > {bound}")
-
-
 class FormulaError(ReproError):
     """Malformed MSO formula (unbound variable, sort mismatch, parse error)."""
 

@@ -42,7 +42,6 @@ from .analyzer import (
     check_module,
     check_paths,
     check_program,
-    check_registered,
     check_source,
     discover_programs,
     find_unused_noqa,
@@ -68,7 +67,6 @@ __all__ = [
     "check_module",
     "check_paths",
     "check_program",
-    "check_registered",
     "check_source",
     "discover_programs",
     "find_unused_noqa",

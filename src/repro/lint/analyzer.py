@@ -276,22 +276,3 @@ def check_program(
     return [
         f for f in check_module(path, select=select) if f.program == qualname
     ]
-
-
-def check_registered(select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint every program currently in the ``@node_program`` registry."""
-    from ..congest.registry import iter_registered
-
-    findings: List[Finding] = []
-    seen_paths: Set[str] = set()
-    for _, func in iter_registered():
-        target = inspect.unwrap(func)
-        try:
-            path = inspect.getsourcefile(target)
-        except TypeError:
-            path = None
-        if path is None or path in seen_paths:
-            continue
-        seen_paths.add(path)
-        findings.extend(check_module(path, select=select))
-    return sorted(findings, key=lambda f: f.sort_key)

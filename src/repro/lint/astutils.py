@@ -406,6 +406,13 @@ class ProgramInfo:
                 return
             current = self.parents.get(current)
 
+    def owning_loop(self, node: ast.AST) -> Optional[ast.AST]:
+        """The innermost ``for``/``while`` loop enclosing ``node``."""
+        for anc in self.ancestors(node):
+            if isinstance(anc, (ast.For, ast.While)):
+                return anc
+        return None
+
     def resolve_closure(self, name: str) -> Optional[str]:
         """Classify a name bound in an enclosing function scope.
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .astutils import ModuleInfo, ProgramInfo, iter_own
-from .callgraph import HelperResolver, ResolvedHelper, scope_functions
+from .callgraph import HelperResolver, ResolvedHelper
 from .findings import Finding
 
 _MAX_PASSES = 3
@@ -1262,14 +1262,7 @@ def _has_exit(program: ProgramInfo, loop: ast.While) -> bool:
         if isinstance(node, (ast.Return, ast.Raise)):
             return True
         if isinstance(node, ast.Break):
-            owner = _owning_loop(program, node)
+            owner = program.owning_loop(node)
             if owner is loop:
                 return True
     return False
-
-
-def _owning_loop(program: ProgramInfo, node: ast.AST) -> Optional[ast.AST]:
-    for anc in program.ancestors(node):
-        if isinstance(anc, (ast.For, ast.While)):
-            return anc
-    return None

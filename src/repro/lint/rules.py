@@ -25,6 +25,7 @@ from .astutils import (
     ProgramInfo,
     contains_yield,
     is_builtin,
+    iter_own,
     names_loaded,
 )
 from .findings import Finding
@@ -298,7 +299,7 @@ def check_determinism(program: ProgramInfo) -> Iterator[Finding]:
     for sink, where in _sink_subtrees(program):
         nodes = [sink] + (
             [] if isinstance(sink, (ast.Name, ast.Constant)) else list(
-                _subtree_own(sink)
+                iter_own(sink)
             )
         )
         for n in nodes:
@@ -334,9 +335,9 @@ def check_determinism(program: ProgramInfo) -> Iterator[Finding]:
         if not program.is_unordered(iter_expr):
             continue
         loop_names = _loop_target_names(loop)
-        body_nodes = list(_subtree_own(loop))
+        body_nodes = list(iter_own(loop))
         for n in body_nodes:
-            if isinstance(n, ast.Break) and _owning_loop(program, n) is loop:
+            if isinstance(n, ast.Break) and program.owning_loop(n) is loop:
                 yield _finding(
                     program,
                     "RL002",
@@ -392,19 +393,6 @@ def check_determinism(program: ProgramInfo) -> Iterator[Finding]:
                 )
 
 
-def _subtree_own(node: ast.AST) -> Iterator[ast.AST]:
-    from .astutils import iter_own
-
-    yield from iter_own(node)
-
-
-def _owning_loop(program: ProgramInfo, node: ast.AST) -> Optional[ast.AST]:
-    for anc in program.ancestors(node):
-        if isinstance(anc, (ast.For, ast.While)):
-            return anc
-    return None
-
-
 def _guard_mentions(
     program: ProgramInfo, assign: ast.AST, loop: ast.AST, name: str
 ) -> bool:
@@ -420,7 +408,7 @@ def _guard_mentions(
 def _read_outside(program: ProgramInfo, loop: ast.AST, name: str) -> bool:
     inside = {
         n
-        for n in _subtree_own(loop)
+        for n in iter_own(loop)
         if isinstance(n, ast.Name) and n.id == name
     }
     for n in program.own:
@@ -438,10 +426,6 @@ def _read_outside(program: ProgramInfo, loop: ast.AST, name: str) -> bool:
 # RL003 — round structure
 # ---------------------------------------------------------------------------
 
-def _has_own_yield(node: ast.AST) -> bool:
-    return contains_yield(node)
-
-
 def _seq_terminates(stmts: List[ast.stmt]) -> bool:
     for s in stmts:
         if isinstance(s, (ast.Return, ast.Raise)):
@@ -455,7 +439,7 @@ def _seq_terminates(stmts: List[ast.stmt]) -> bool:
 def _block_may_yield(stmts: List[ast.stmt], start: int) -> Optional[bool]:
     """Can a yield run in ``stmts[start:]``?  None = fell off the end."""
     for s in stmts[start:]:
-        if _has_own_yield(s):
+        if contains_yield(s):
             return True
         if isinstance(s, (ast.Return, ast.Raise)):
             return False
@@ -469,7 +453,7 @@ def _send_reaches_yield(program: ProgramInfo, call: ast.Call) -> bool:
     # A loop enclosing the send that also yields can deliver on the next
     # iteration.
     for anc in program.ancestors(call):
-        if isinstance(anc, (ast.For, ast.While)) and _has_own_yield(anc):
+        if isinstance(anc, (ast.For, ast.While)) and contains_yield(anc):
             return True
     stmt = program.enclosing_statement(call)
     while stmt is not None:
@@ -543,7 +527,7 @@ def check_round_structure(program: ProgramInfo) -> Iterator[Finding]:
                         "(the runtime would raise); yield between them",
                     )
                 pending[tkey] = call
-            elif _has_own_yield(s) or any(
+            elif contains_yield(s) or any(
                 c in set(ast.walk(s)) for c, _ in program.sends
             ):
                 # A yield ends the round; nested sends/yields in compound
@@ -554,7 +538,7 @@ def check_round_structure(program: ProgramInfo) -> Iterator[Finding]:
     for loop in program.own:
         if not isinstance(loop, (ast.For, ast.While)):
             continue
-        if _has_own_yield(loop):
+        if contains_yield(loop):
             continue
         loop_sends = [
             (c, k)

@@ -1,8 +1,7 @@
 """repro.obs — instrumentation for the CONGEST stack.
 
-Structured tracing (typed events + hierarchical phase spans), per-phase /
-per-node / per-edge metrics, wall-clock profiling of the sequential hot
-paths, and exporters (JSON lines, summary tables, Chrome trace format).
+Structured tracing (typed events + hierarchical phase spans), per-phase
+metrics, wall-clock profiling of the sequential hot paths, and exporters (JSON lines, summary tables, Chrome trace format).
 Plus the process-wide :class:`MetricsRegistry` (counters / gauges /
 histograms with Prometheus and JSON export) and :class:`RunReport`
 artifacts persisted to the local run store (``repro report`` CLI).
@@ -56,8 +55,6 @@ from .reports import (
 )
 from .tracer import (
     NULL_SPAN,
-    EdgeStats,
-    NodeStats,
     PhaseStats,
     ProfileStat,
     Tracer,
@@ -72,10 +69,10 @@ def maybe_phase(tracer, name: str):
 
 
 __all__ = [
-    "BudgetJittered", "DeliverEvent", "EdgeStats", "FAULT_EVENT_KINDS",
+    "BudgetJittered", "DeliverEvent", "FAULT_EVENT_KINDS",
     "FaultEvent", "MessageDelayed", "MessageDropped", "MessageDuplicated",
     "MetricsRegistry", "NULL_SPAN", "NodeCrashed", "NodeHalt",
-    "NodeRestarted", "NodeStats", "PayloadTruncated", "PhaseEnter",
+    "NodeRestarted", "PayloadTruncated", "PhaseEnter",
     "PhaseExit", "PhaseStats", "ProfileStat", "RoundStart", "RunCollector",
     "RunReport", "RunStore", "SendEvent", "TraceEvent", "Tracer",
     "build_report", "chrome_trace_dict", "collect_run", "current_tracer",

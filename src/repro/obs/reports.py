@@ -70,8 +70,8 @@ WORKLOAD_PROGRAMS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("repro.distributed.counting", "counting_program.<locals>.program"),
     ),
     # "certify" is deliberately absent: it runs the centralized
-    # prover + single-round verifier from repro.certification, not a
-    # registered node program — the gate skips workloads it has no
+    # prover + single-round verifier from repro.certification, whose
+    # verifier declares no bound — the gate skips workloads it has no
     # static bound for.
 }
 

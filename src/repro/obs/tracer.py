@@ -76,30 +76,6 @@ class PhaseStats:
         )
 
 
-class NodeStats:
-    """Per-node traffic breakdown."""
-
-    __slots__ = ("sent_messages", "sent_bits", "received_messages",
-                 "received_bits", "halt_round")
-
-    def __init__(self) -> None:
-        self.sent_messages = 0
-        self.sent_bits = 0
-        self.received_messages = 0
-        self.received_bits = 0
-        self.halt_round: Optional[int] = None
-
-
-class EdgeStats:
-    """Per-directed-edge traffic breakdown."""
-
-    __slots__ = ("messages", "bits")
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.bits = 0
-
-
 class ProfileStat:
     """Wall-clock accumulator for one profiled sequential section."""
 
@@ -180,8 +156,6 @@ class Tracer:
         self.truncated = False
         self.round = 0
         self.phase_stats: Dict[str, PhaseStats] = {}
-        self.node_stats: Dict[Any, NodeStats] = {}
-        self.edge_stats: Dict[Tuple[Any, Any], EdgeStats] = {}
         self.fault_counts: Dict[str, int] = {}
         self.timings: Dict[str, ProfileStat] = {}
         self._global_stack: List[str] = []
@@ -297,16 +271,6 @@ class Tracer:
         stats.bits += bits
         if bits > stats.max_message_bits:
             stats.max_message_bits = bits
-        node = self.node_stats.get(sender)
-        if node is None:
-            node = self.node_stats[sender] = NodeStats()
-        node.sent_messages += 1
-        node.sent_bits += bits
-        edge = self.edge_stats.get((sender, receiver))
-        if edge is None:
-            edge = self.edge_stats[(sender, receiver)] = EdgeStats()
-        edge.messages += 1
-        edge.bits += bits
         self._round_sends[path] = self._round_sends.get(path, 0) + 1
         if self.wants_events:
             self._emit(SendEvent(
@@ -319,21 +283,12 @@ class Tracer:
             ))
 
     def on_deliver(self, sender: Any, receiver: Any, bits: int) -> None:
-        node = self.node_stats.get(receiver)
-        if node is None:
-            node = self.node_stats[receiver] = NodeStats()
-        node.received_messages += 1
-        node.received_bits += bits
         if self.wants_events:
             self._emit(DeliverEvent(
                 round=self.round, sender=sender, receiver=receiver, bits=bits
             ))
 
     def on_halt(self, node: Any, output: Any) -> None:
-        stats = self.node_stats.get(node)
-        if stats is None:
-            stats = self.node_stats[node] = NodeStats()
-        stats.halt_round = self.round
         if self.wants_events:
             self._emit(NodeHalt(
                 round=self.round,

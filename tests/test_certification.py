@@ -7,7 +7,7 @@ import pytest
 
 from repro.algebra import compile_formula
 from repro.certification import prove, verify
-from repro.errors import CertificationError
+from repro.errors import CertificationError, ProtocolError
 from repro.graph import generators as gen
 from repro.graph import properties as props
 from repro.mso import formulas
@@ -145,3 +145,70 @@ def test_verification_single_round_vs_decision_rounds():
     decision = decide_pipeline(compile_formula(formulas.acyclic(), ()), g, d=treedepth(g))
     assert decision.accepted
     assert verification.rounds < decision.total_rounds
+
+
+# -- a disconnected network fails closed ------------------------------------
+
+def _triangle_plus_edge():
+    g = gen.triangle()
+    g.add_edge(3, 4)
+    return g
+
+
+def test_certify_refuses_disconnected_graph():
+    # Each component is connected on its own, so checking every DFS root
+    # separately would certify connectivity of a graph that lacks it.
+    from repro.algebra import check
+    from repro.api import Session
+    from repro.treedepth import dfs_elimination_forest
+
+    g = _triangle_plus_edge()
+    assert not check(formulas.connected(), g, dfs_elimination_forest(g))
+    with pytest.raises(ProtocolError, match="connected network"):
+        Session(g, 3).certify(formulas.connected())
+
+
+def test_certify_refuses_disconnected_graph_with_true_property():
+    from repro.api import Session
+    from repro.mso import syntax as sx
+
+    g = _triangle_plus_edge()
+    assert props.count_triangles(g) == 1
+    with pytest.raises(ProtocolError, match="connected network"):
+        Session(g, 3).certify(sx.Not(formulas.h_free(gen.triangle())))
+
+
+def test_verify_refuses_disconnected_graph():
+    # The certificates a per-root prover would hand out: one honest tree
+    # per component, every root accepting its own component.
+    from repro.algebra.engine import subtree_states
+    from repro.certification import CertifiedInstance
+    from repro.congest import payload_bits
+    from repro.distributed.model_checking import ClassCodec
+    from repro.treedepth import dfs_elimination_forest
+
+    g = _triangle_plus_edge()
+    automaton = compile_formula(formulas.connected(), ())
+    forest = dfs_elimination_forest(g)
+    assert len(forest.roots()) == 2
+    states = subtree_states(automaton, g, forest)
+    assert all(automaton.accepts(states[root]) for root in forest.roots())
+    codec = ClassCodec(automaton)
+    certificates = {
+        v: (
+            forest.parent(v) if forest.parent(v) is not None else v,
+            forest.depth_of(v),
+            tuple(forest.root_path(v)),
+            codec.encode(states[v]),
+        )
+        for v in g.vertices()
+    }
+    instance = CertifiedInstance(
+        certificates=certificates,
+        max_certificate_bits=max(map(payload_bits, certificates.values())),
+        codec=codec,
+    )
+    with pytest.raises(ProtocolError, match="connected network"):
+        verify(g, automaton, instance)
+    with pytest.raises(ProtocolError, match="connected network"):
+        prove(g, automaton, forest)

@@ -14,7 +14,6 @@ from repro.lint import (
     check_module,
     check_paths,
     check_program,
-    check_registered,
     check_source,
     discover_programs,
     is_node_program,
@@ -25,6 +24,7 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 PROTOCOL_PATHS = [
     "src/repro/distributed",
     "src/repro/congest/primitives.py",
+    "src/repro/certification",
 ]
 
 
@@ -163,17 +163,6 @@ def test_check_program_flags_bad_fixture_function():
     spec.loader.exec_module(module)
     findings = check_program(module.program)
     assert findings and {f.code for f in findings} == {"RL004"}
-
-
-def test_check_registered_covers_real_protocols():
-    import repro.distributed  # noqa: F401  (registers the node programs)
-
-    real = [
-        f
-        for f in check_registered()
-        if "lint_fixtures" not in f.path and "repro" in f.path
-    ]
-    assert real == []
 
 
 def test_select_and_unknown_rule():

@@ -367,7 +367,7 @@ def test_check_program_on_alias_registered_program(tmp_path, monkeypatch):
         """
 from repro.congest import NodeContext, node_program
 
-@node_program(name="custom-alias")
+@node_program
 def program(ctx: NodeContext):
     inbox = yield
     ctx.send_all(("pick", list(inbox)[0]))

@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.graph import generators as gen
 from repro.obs import (
     NULL_SPAN,
     DeliverEvent,
+    NodeHalt,
     PhaseEnter,
     PhaseExit,
     RoundStart,
@@ -118,13 +120,19 @@ def test_per_node_and_per_edge_breakdowns():
     with use_tracer(tracer):
         run_protocol(gen.path(3), ping_program)
     # Middle node talks to both neighbors, twice (ping + pong).
-    assert tracer.node_stats[1].sent_messages == 4
-    assert tracer.node_stats[1].received_messages == 4
-    assert tracer.node_stats[0].sent_messages == 2
-    assert tracer.edge_stats[(0, 1)].messages == 2
-    assert tracer.edge_stats[(1, 0)].messages == 2
-    assert all(stats.halt_round is not None
-               for stats in tracer.node_stats.values())
+    sends = Counter(
+        (e.sender, e.receiver) for e in tracer.events if isinstance(e, SendEvent)
+    )
+    received = Counter(
+        e.receiver for e in tracer.events if isinstance(e, DeliverEvent)
+    )
+    assert sum(n for (s, _), n in sends.items() if s == 1) == 4
+    assert received[1] == 4
+    assert sum(n for (s, _), n in sends.items() if s == 0) == 2
+    assert sends[(0, 1)] == 2
+    assert sends[(1, 0)] == 2
+    halted = {e.node for e in tracer.events if isinstance(e, NodeHalt)}
+    assert halted == {0, 1, 2}
 
 
 # ----------------------------------------------------------------------
