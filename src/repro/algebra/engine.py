@@ -11,15 +11,20 @@ Runs a compiled tree automaton bottom-up over an elimination forest:
 
 Every vertex takes the paper's step Forget(Glue(Base_v, child classes)):
 :meth:`TreeAutomaton.close <repro.algebra.automata.TreeAutomaton.close>`
-is that step, shared with the decision convergecast and the certificate
-verifier (the counting and optimization tables glue class by class);
-here the "messages" are ordinary function returns.
+is that step on one class, shared with the decision convergecast and the
+certificate verifier.  On tables of classes the same step is the COUNT
+step (:func:`count_leaves`, :func:`count_glue`, :func:`count_forget`) and
+the OPT step (:func:`opt_glue`, :func:`opt_forget`, :func:`opt_best`),
+shared with the counting, optimization and optmarked convergecasts; here
+the "messages" are ordinary function returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import DecompositionError, ReproError
 from ..graph import Graph, Vertex
@@ -124,6 +129,109 @@ def check_assignment(
 
 
 # ----------------------------------------------------------------------
+# The COUNT and OPT steps on tables of classes (Section 6, Lemma 4.6)
+# ----------------------------------------------------------------------
+# A table maps each class to a count (COUNT) or to the best weight of a
+# partial solution in it (OPT).  A node builds its leaf table, glues each
+# child's table in at its boundary ``k``, then forgets; the sequential
+# engine and the counting, optimization and optmarked convergecasts all
+# take these steps.  The first glue of a pair interns its class, so an
+# OPT step visits classes in its caller's ``order`` (a sort key, or None
+# for insertion order); every COUNT caller keeps insertion order.  OPT's
+# ``sign`` is 1 to maximize and -1 to minimize; ties keep the first visit.
+
+Table = Dict[State, int]
+Order = Optional[Callable[[State], int]]
+GlueBack = Dict[State, Tuple[State, State]]
+
+
+def count_leaves(automaton: TreeAutomaton, choices: Iterable[SymbolChoice]) -> Table:
+    """How many of a node's local choices land in each class."""
+    table: Table = {}
+    for choice in choices:
+        state = automaton.leaf(choice.symbol)
+        table[state] = table.get(state, 0) + 1
+    return table
+
+
+def count_glue(automaton: TreeAutomaton, k: int, table: Table, child: Table) -> Table:
+    """Glue a child's COUNT table into ``table``: counts multiply."""
+    merged: Table = {}
+    for s1, c1 in table.items():
+        for s2, c2 in child.items():
+            s = automaton.glue(k, s1, s2)
+            merged[s] = merged.get(s, 0) + c1 * c2
+    return merged
+
+
+def count_forget(automaton: TreeAutomaton, k: int, table: Table) -> Table:
+    """Forget the boundary's last vertex: counts of merged classes add."""
+    forgotten: Table = {}
+    for s, c in table.items():
+        fs = automaton.forget(k, s)
+        forgotten[fs] = forgotten.get(fs, 0) + c
+    return forgotten
+
+
+def _visit(table: Table, order: Order) -> Iterable[State]:
+    return table if order is None else sorted(table, key=order)
+
+
+def opt_glue(
+    automaton: TreeAutomaton, k: int, table: Table, child: Table, sign: int,
+    order: Order, back: Optional[GlueBack] = None,
+) -> Table:
+    """Glue a child's OPT table into ``table``: weights add, the best wins.
+
+    ``back``, if given, receives each glued class's best (own, child) pair.
+    """
+    merged: Table = {}
+    child_order = _visit(child, order)
+    for s1 in _visit(table, order):
+        w1 = table[s1]
+        for s2 in child_order:
+            s = automaton.glue(k, s1, s2)
+            w = w1 + child[s2]
+            if s not in merged or sign * w > sign * merged[s]:
+                merged[s] = w
+                if back is not None:
+                    back[s] = (s1, s2)
+    return merged
+
+
+def opt_forget(
+    automaton: TreeAutomaton, k: int, table: Table, sign: int, order: Order,
+    back: Optional[Dict[State, State]] = None,
+) -> Table:
+    """Forget the boundary's last vertex: the best weight per class wins.
+
+    ``back``, if given, receives each forgotten class's best preimage.
+    """
+    forgotten: Table = {}
+    for s in _visit(table, order):
+        fs = automaton.forget(k, s)
+        w = table[s]
+        if fs not in forgotten or sign * w > sign * forgotten[fs]:
+            forgotten[fs] = w
+            if back is not None:
+                back[fs] = s
+    return forgotten
+
+
+def opt_best(
+    automaton: TreeAutomaton, table: Table, sign: int, order: Order
+) -> Optional[State]:
+    """The accepting class of best weight, or None if no class accepts."""
+    best: Optional[State] = None
+    for s in _visit(table, order):
+        if automaton.accepts(s) and (
+            best is None or sign * table[s] > sign * table[best]
+        ):
+            best = s
+    return best
+
+
+# ----------------------------------------------------------------------
 # Optimization (Lemma 4.6 + the ARGOPT top-down phase)
 # ----------------------------------------------------------------------
 
@@ -132,7 +240,7 @@ class _NodeTrace:
     """Back-pointers for reconstructing the optimal choice at one vertex."""
 
     leaf_choice: Dict[State, SymbolChoice]
-    glue_steps: List[Tuple[Vertex, Dict[State, Tuple[State, State]]]]
+    glue_steps: List[Tuple[Vertex, GlueBack]]
     forget_back: Dict[State, State]
 
 
@@ -180,97 +288,63 @@ def optimize(
                 total += graph.vertex_weight(item)
         return total
 
-    tables: Dict[Vertex, Dict[State, int]] = {}
+    tables: Dict[Vertex, Table] = {}
     traces: Dict[Vertex, _NodeTrace] = {}
-
-    def better(candidate: int, incumbent: Optional[int]) -> bool:
-        return incumbent is None or sign * candidate > sign * incumbent
-
     with profiled("algebra.optimize.tables"):
         for v in forest.bottom_up_order():
             k = forest.depth_of(v)
             structure = base_structure(graph, forest, v)
             vertex_item, edge_items = owned_items(graph, forest, v)
-            leaf_table: Dict[State, int] = {}
+            table: Table = {}
             leaf_choice: Dict[State, SymbolChoice] = {}
             for choice in enumerate_symbol_choices(
                 structure, automaton.scope, vertex_item, edge_items
             ):
                 state = automaton.leaf(choice.symbol)
                 w = weight_of(choice.chosen[0])
-                if better(w, leaf_table.get(state)):
-                    leaf_table[state] = w
+                if state not in table or sign * w > sign * table[state]:
+                    table[state] = w
                     leaf_choice[state] = choice
-            table = leaf_table
-            glue_steps: List[Tuple[Vertex, Dict[State, Tuple[State, State]]]] = []
+            glue_steps: List[Tuple[Vertex, GlueBack]] = []
             for child in forest.children(v):
-                child_table = tables.pop(child)
-                merged: Dict[State, int] = {}
-                back: Dict[State, Tuple[State, State]] = {}
-                for s1 in sorted(table, key=automaton.intern):
-                    for s2 in sorted(child_table, key=automaton.intern):
-                        s = automaton.glue(k, s1, s2)
-                        w = table[s1] + child_table[s2]
-                        if better(w, merged.get(s)):
-                            merged[s] = w
-                            back[s] = (s1, s2)
-                table = merged
+                back: GlueBack = {}
+                table = opt_glue(automaton, k, table, tables.pop(child), sign,
+                                 automaton.intern, back)
                 glue_steps.append((child, back))
-            forget_table: Dict[State, int] = {}
             forget_back: Dict[State, State] = {}
-            for s in sorted(table, key=automaton.intern):
-                fs = automaton.forget(k, s)
-                if better(table[s], forget_table.get(fs)):
-                    forget_table[fs] = table[s]
-                    forget_back[fs] = s
-            tables[v] = forget_table
+            tables[v] = opt_forget(automaton, k, table, sign, automaton.intern,
+                                   forget_back)
             traces[v] = _NodeTrace(leaf_choice, glue_steps, forget_back)
 
-    # Combine the per-component tables at the empty boundary.
+    # Combine the per-component tables: a glue at the empty boundary.
     roots = forest.roots()
-    combined: Dict[State, int] = tables[roots[0]]
-    combined_back: List[Dict[State, Tuple[State, State]]] = []
+    combined = tables[roots[0]]
+    root_glues: List[Tuple[Vertex, GlueBack]] = []
     for root in roots[1:]:
-        nxt: Dict[State, int] = {}
-        back: Dict[State, Tuple[State, State]] = {}
-        for s1 in sorted(combined, key=automaton.intern):
-            for s2 in sorted(tables[root], key=automaton.intern):
-                s = automaton.glue(0, s1, s2)
-                w = combined[s1] + tables[root][s2]
-                if better(w, nxt.get(s)):
-                    nxt[s] = w
-                    back[s] = (s1, s2)
-        combined = nxt
-        combined_back.append(back)
-
-    best_state: Optional[State] = None
-    for s in sorted(combined, key=automaton.intern):
-        if automaton.accepts(s) and better(combined[s], None if best_state is None else combined[best_state]):
-            best_state = s
+        back = {}
+        combined = opt_glue(automaton, 0, combined, tables[root], sign,
+                            automaton.intern, back)
+        root_glues.append((root, back))
+    best_state = opt_best(automaton, combined, sign, automaton.intern)
     if best_state is None:
         return None
 
-    # ARGOPT top-down: peel the component combination, then each tree.
+    # ARGOPT top-down: peel the component glues, then each tree.
     witness: List[Any] = []
-    component_states: Dict[Vertex, State] = {}
-    s = best_state
-    for root, back in zip(reversed(roots[1:]), reversed(combined_back)):
-        left, right = back[s]
-        component_states[root] = right
-        s = left
-    component_states[roots[0]] = s
 
     def reconstruct(v: Vertex, forget_state: State) -> None:
         trace = traces[v]
         state = trace.forget_back[forget_state]
         for child, back in reversed(trace.glue_steps):
-            left, right = back[state]
+            state, right = back[state]
             reconstruct(child, right)
-            state = left
         witness.extend(trace.leaf_choice[state].chosen[0])
 
-    for root, state in component_states.items():
-        reconstruct(root, state)
+    state = best_state
+    for root, back in reversed(root_glues):
+        state, right = back[state]
+        reconstruct(root, right)
+    reconstruct(roots[0], state)
     return OptimizationResult(
         value=combined[best_state],
         witness=frozenset(witness),
@@ -306,40 +380,23 @@ def count(
 
         automaton = compile_with_singletons(formula, scope)
 
-    tables: Dict[Vertex, Dict[State, int]] = {}
+    tables: Dict[Vertex, Table] = {}
     with profiled("algebra.count.tables"):
         for v in forest.bottom_up_order():
             k = forest.depth_of(v)
             structure = base_structure(graph, forest, v)
             vertex_item, edge_items = owned_items(graph, forest, v)
-            table: Dict[State, int] = {}
-            for choice in enumerate_symbol_choices(
+            table = count_leaves(automaton, enumerate_symbol_choices(
                 structure, scope, vertex_item, edge_items
-            ):
-                state = automaton.leaf(choice.symbol)
-                table[state] = table.get(state, 0) + 1
+            ))
             for child in forest.children(v):
-                child_table = tables.pop(child)
-                merged: Dict[State, int] = {}
-                for s1, c1 in table.items():
-                    for s2, c2 in child_table.items():
-                        s = automaton.glue(k, s1, s2)
-                        merged[s] = merged.get(s, 0) + c1 * c2
-                table = merged
-            forgotten: Dict[State, int] = {}
-            for s, c in table.items():
-                fs = automaton.forget(k, s)
-                forgotten[fs] = forgotten.get(fs, 0) + c
-            tables[v] = forgotten
+                table = count_glue(automaton, k, table, tables.pop(child))
+            tables[v] = count_forget(automaton, k, table)
 
+    # Combine the per-component tables: a glue at the empty boundary.
     roots = forest.roots()
     combined = tables[roots[0]]
     for root in roots[1:]:
-        nxt: Dict[State, int] = {}
-        for s1, c1 in combined.items():
-            for s2, c2 in tables[root].items():
-                s = automaton.glue(0, s1, s2)
-                nxt[s] = nxt.get(s, 0) + c1 * c2
-        combined = nxt
+        combined = count_glue(automaton, 0, combined, tables[root])
     return sum(c for s, c in combined.items() if automaton.accepts(s))
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
+from ..algebra.engine import count_forget, count_glue, count_leaves
 from ..algebra.symbols import enumerate_symbol_choices
 from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
@@ -61,12 +62,9 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
         owned_edges = [
             (pos, canonical_edge(bag[pos - 1], ctx.node)) for pos in positions
         ]
-        table: Dict[Any, int] = {}
-        for choice in enumerate_symbol_choices(
+        table = count_leaves(automaton, enumerate_symbol_choices(
             base.structure, automaton.scope, ctx.node, owned_edges
-        ):
-            state = automaton.leaf(choice.symbol)
-            table[state] = table.get(state, 0) + 1
+        ))
 
         with ctx.phase("count-streaming"):
             collector = ItemCollector("cnt", children)
@@ -91,16 +89,8 @@ def counting_program(automaton: TreeAutomaton, codec: ClassCodec):
                             current_state, 0
                         ) | (value << (_CHUNK_BITS * digit_index))
                         digit_index += 1
-                merged: Dict[Any, int] = {}
-                for s1, c1 in table.items():
-                    for s2, c2 in child_table.items():
-                        s = automaton.glue(depth, s1, s2)
-                        merged[s] = merged.get(s, 0) + c1 * c2
-                table = merged
-            forgotten: Dict[Any, int] = {}
-            for s, c in table.items():
-                fs = automaton.forget(depth, s)
-                forgotten[fs] = forgotten.get(fs, 0) + c
+                table = count_glue(automaton, depth, table, child_table)
+            forgotten = count_forget(automaton, depth, table)
 
             if parent is not None:
                 for s in sorted(forgotten, key=codec.encode):

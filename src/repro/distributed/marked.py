@@ -19,6 +19,7 @@ from functools import partial
 from typing import Any, Dict, FrozenSet, Generator, Optional, Tuple
 
 from ..algebra import TreeAutomaton
+from ..algebra.engine import opt_best, opt_forget, opt_glue
 from ..algebra.symbols import enumerate_symbol_choices
 from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
@@ -30,6 +31,7 @@ from .model_checking import (
     run_checking,
     unanimous_verdict,
 )
+from .optimization import choice_weight
 
 
 def optmarked_program(
@@ -52,23 +54,15 @@ def optmarked_program(
         ]
         edge_weights: Dict[int, int] = dict(ctx.input.get("edge_weights", {}))
 
-        def better(candidate: int, incumbent: Optional[int]) -> bool:
-            return incumbent is None or sign * candidate > sign * incumbent
-
         # (1) OPT table over all local choices.
         table: Dict[Any, int] = {}
         for choice in enumerate_symbol_choices(
             base_marked.structure, automaton.scope, ctx.node, owned_edges
         ):
             state = automaton.leaf(choice.symbol)
-            w = 0
-            for item in choice.chosen[0]:
-                if isinstance(item, tuple):
-                    pos = next(p for p, e in owned_edges if e == item)
-                    w += edge_weights.get(pos, 1)
-                else:
-                    w += ctx.input.get("weight", 1)
-            if better(w, table.get(state)):
+            w = choice_weight(choice.chosen[0], owned_edges, edge_weights,
+                              ctx.input.get("weight", 1))
+            if state not in table or sign * w > sign * table[state]:
                 table[state] = w
         # (2) class of the marked assignment; (3) local marked weight.
         marked_state = automaton.leaf(base_marked)
@@ -92,15 +86,9 @@ def optmarked_program(
             child_table = {
                 codec.decode(class_id): weight for class_id, weight in items[1:]
             }
-            merged: Dict[Any, int] = {}
-            for s1, w1 in table.items():
-                for s2, w2 in child_table.items():
-                    s = automaton.glue(depth, s1, s2)
-                    if better(w1 + w2, merged.get(s)):
-                        merged[s] = w1 + w2
-            table = merged
+            table = opt_glue(automaton, depth, table, child_table, sign, None)
         marked_state = automaton.forget(depth, marked_state)
-        table = _forget_table(automaton, depth, table, better)
+        table = opt_forget(automaton, depth, table, sign, None)
 
         if parent is not None:
             ctx.send(parent, ("mk", (codec.encode(marked_state), marked_weight)))
@@ -120,14 +108,11 @@ def optmarked_program(
                             ctx.send(child, ("verdict", verdict))
                         return verdict
         # Root: combine the three ingredients.
-        optimum: Optional[int] = None
-        for s, w in table.items():
-            if automaton.accepts(s) and better(w, optimum):
-                optimum = w
+        best = opt_best(automaton, table, sign, None)
         verdict = (
             automaton.accepts(marked_state)
-            and optimum is not None
-            and marked_weight == optimum
+            and best is not None
+            and marked_weight == table[best]
         )
         for child in children:
             # Children still yield awaiting the verdict, so this delivers.
@@ -135,15 +120,6 @@ def optmarked_program(
         return verdict
 
     return program
-
-
-def _forget_table(automaton, depth, table, better):
-    out: Dict[Any, int] = {}
-    for s, w in table.items():
-        fs = automaton.forget(depth, s)
-        if better(w, out.get(fs)):
-            out[fs] = w
-    return out
 
 
 @dataclass

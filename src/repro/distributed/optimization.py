@@ -23,6 +23,7 @@ from functools import partial
 from typing import Any, Dict, FrozenSet, Generator, List, Optional, Tuple
 
 from ..algebra import TreeAutomaton
+from ..algebra.engine import opt_best, opt_forget, opt_glue
 from ..algebra.symbols import SymbolChoice, enumerate_symbol_choices
 from ..congest import Inbox, ItemCollector, NodeContext, node_program
 from ..errors import ProtocolError
@@ -42,6 +43,19 @@ from .model_checking import (  # noqa: F401
     engine_automaton,
     node_inputs_from_elimination,
 )
+
+
+def choice_weight(chosen: Tuple[Any, ...], owned_edges: List[Tuple[int, Any]],
+                  edge_weights: Dict[int, int], vertex_weight: int) -> int:
+    """Weight of a node's local choice: the sum over its chosen owned items."""
+    total = 0
+    for item in chosen:
+        if isinstance(item, tuple):
+            pos = next(p for p, e in owned_edges if e == item)
+            total += edge_weights.get(pos, 1)
+        else:
+            total += vertex_weight
+    return total
 
 
 @dataclass
@@ -78,27 +92,15 @@ def optimization_program(
         ]
         edge_weights: Dict[int, int] = dict(ctx.input.get("edge_weights", {}))
 
-        def weight_of(chosen: Tuple[Any, ...]) -> int:
-            total = 0
-            for item in chosen:
-                if isinstance(item, tuple):
-                    pos = next(p for p, e in owned_edges if e == item)
-                    total += edge_weights.get(pos, 1)
-                else:
-                    total += ctx.input.get("weight", 1)
-            return total
-
-        def better(candidate: int, incumbent: Optional[int]) -> bool:
-            return incumbent is None or sign * candidate > sign * incumbent
-
         table: Dict[Any, int] = {}
         leaf_choice: Dict[Any, SymbolChoice] = {}
         for choice in enumerate_symbol_choices(
             base.structure, automaton.scope, ctx.node, owned_edges
         ):
             state = automaton.leaf(choice.symbol)
-            w = weight_of(choice.chosen[0])
-            if better(w, table.get(state)):
+            w = choice_weight(choice.chosen[0], owned_edges, edge_weights,
+                              ctx.input.get("weight", 1))
+            if state not in table or sign * w > sign * table[state]:
                 table[state] = w
                 leaf_choice[state] = choice
 
@@ -114,37 +116,18 @@ def optimization_program(
                     codec.decode(class_id): weight
                     for class_id, weight in collector.items_from(child)
                 }
-                merged: Dict[Any, int] = {}
                 back: Dict[Any, Tuple[Any, Any]] = {}
-                child_order = sorted(child_table, key=codec.encode)
-                for s1 in sorted(table, key=codec.encode):
-                    for s2 in child_order:
-                        s = automaton.glue(depth, s1, s2)
-                        w = table[s1] + child_table[s2]
-                        if better(w, merged.get(s)):
-                            merged[s] = w
-                            back[s] = (s1, s2)
-                table = merged
+                table = opt_glue(automaton, depth, table, child_table, sign,
+                                 codec.encode, back)
                 glue_back.append((child, back))
-
-            forget_table: Dict[Any, int] = {}
             forget_back: Dict[Any, Any] = {}
-            for s in sorted(table, key=codec.encode):
-                fs = automaton.forget(depth, s)
-                if better(table[s], forget_table.get(fs)):
-                    forget_table[fs] = table[s]
-                    forget_back[fs] = s
+            forget_table = opt_forget(automaton, depth, table, sign,
+                                      codec.encode, forget_back)
 
             # -- stream the forgotten table up ------------------------------
             if parent is not None:
-                entries = [
-                    (codec.encode(s), w)
-                    for s, w in sorted(
-                        forget_table.items(), key=lambda kv: codec.encode(kv[0])
-                    )
-                ]
-                for class_id, weight in entries:
-                    ctx.send(parent, ("opt", (class_id, weight)))
+                for s in sorted(forget_table, key=codec.encode):
+                    ctx.send(parent, ("opt", (codec.encode(s), forget_table[s])))
                     yield
                 ctx.send(parent, ("opt/end", None))
 
@@ -169,12 +152,7 @@ def optimization_program(
                         ctx.send(child, ("infeasible", None))  # repro: noqa[RL003]
                     return NodeSelection(feasible=False)
             else:
-                best: Optional[Any] = None
-                for s in sorted(forget_table, key=codec.encode):
-                    if automaton.accepts(s) and better(
-                        forget_table[s], None if best is None else forget_table[best]
-                    ):
-                        best = s
+                best = opt_best(automaton, forget_table, sign, codec.encode)
                 if best is None:
                     for child in children:
                         # Children still yield awaiting pick/infeasible.

@@ -3,124 +3,48 @@
 A differential oracle that never fires is indistinguishable from one that
 cannot fire.  :func:`mutant_reference` is a drop-in replacement for
 :func:`~repro.testkit.oracles.sequential_reference` whose ``optimize``
-path is a value-only copy of Algorithm 1's dynamic-programming tables
-(:func:`repro.algebra.engine.optimize`) with one planted off-by-one: the
-glue-step table update reads ``w = w1 + w2 + 1`` instead of
-``w = w1 + w2``.  The mutation is *silent* — nothing raises, every state
-stays well-formed — it just inflates the optimum by one per glue step, so
+answer models one planted off-by-one in Algorithm 1's dynamic program
+(:func:`repro.algebra.engine.optimize`): a glue that reads
+``w = w1 + w2 + 1`` instead of ``w = w1 + w2``.  Such a glue shifts every
+entry of its table alike, so the best class never changes, and a run
+glues n - 1 times (each non-root vertex into its parent, then the roots
+together): the mutant's optimum is the honest one plus n - 1.  The
+mutation is *silent* — nothing raises — so
 
     differential_check(case, reference=mutant_reference)
 
-must report ``verdict`` discrepancies on any optimize case whose forest
-has at least one parent/child edge (two vertices suffice), and the
-shrinker must carry such a failure down to a tiny graph.  The mutation
-test in ``tests/test_testkit_mutation.py`` pins exactly that, which is
-the evidence that the oracle, the shrinker, and the replay pipeline are
-alive end to end.
+must report ``verdict`` discrepancies on any feasible optimize case with
+at least two vertices, and the shrinker must carry such a failure down to
+a tiny graph.  The mutation test in ``tests/test_testkit_mutation.py``
+pins exactly that, which is the evidence that the oracle, the shrinker,
+and the replay pipeline are alive end to end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
 
 from ..algebra.cache import AutomatonCache
-from ..algebra.symbols import (
-    base_structure,
-    enumerate_symbol_choices,
-    owned_items,
-)
-from ..graph import Vertex
-from ..treedepth import best_heuristic_forest
 from .cases import Case
-from .oracles import Reference, compiled_for, sequential_reference
+from .oracles import Reference, sequential_reference
 
 __all__ = ["mutant_reference", "mutant_optimize_value"]
 
 
 def mutant_optimize_value(case: Case, cache: AutomatonCache) -> Optional[int]:
-    """The planted-off-by-one optimum for an ``optimize`` case.
-
-    Value-only rerun of the :func:`repro.algebra.engine.optimize` table
-    phase (no ARGOPT back-pointers).  The single behavioral difference is
-    flagged with ``MUTATION`` below.
-    """
-    graph, forest = case.graph, best_heuristic_forest(case.graph)
-    if graph.num_vertices() == 0:
-        return None
-    automaton = compiled_for(case, cache)
-    var = case.scope[0]
-    sign = 1 if case.sense == "max" else -1
-
-    def weight_of(items) -> int:
-        total = 0
-        for item in items:
-            if isinstance(item, tuple):
-                total += graph.edge_weight(item[0], item[1])
-            else:
-                total += graph.vertex_weight(item)
-        return total
-
-    def better(candidate: int, incumbent: Optional[int]) -> bool:
-        return incumbent is None or sign * candidate > sign * incumbent
-
-    tables: Dict[Vertex, Dict[object, int]] = {}
-    for v in forest.bottom_up_order():
-        k = forest.depth_of(v)
-        structure = base_structure(graph, forest, v)
-        vertex_item, edge_items = owned_items(graph, forest, v)
-        table: Dict[object, int] = {}
-        for choice in enumerate_symbol_choices(
-            structure, automaton.scope, vertex_item, edge_items
-        ):
-            state = automaton.leaf(choice.symbol)
-            w = weight_of(choice.chosen[0])
-            if better(w, table.get(state)):
-                table[state] = w
-        for child in forest.children(v):
-            child_table = tables.pop(child)
-            merged: Dict[object, int] = {}
-            for s1, w1 in table.items():
-                for s2, w2 in child_table.items():
-                    s = automaton.glue(k, s1, s2)
-                    w = w1 + w2 + 1  # MUTATION: off-by-one glue update
-                    if better(w, merged.get(s)):
-                        merged[s] = w
-            table = merged
-        forgotten: Dict[object, int] = {}
-        for s, w in table.items():
-            fs = automaton.forget(k, s)
-            if better(w, forgotten.get(fs)):
-                forgotten[fs] = w
-        tables[v] = forgotten
-
-    roots = forest.roots()
-    combined = tables[roots[0]]
-    for root in roots[1:]:
-        nxt: Dict[object, int] = {}
-        for s1, w1 in combined.items():
-            for s2, w2 in tables[root].items():
-                s = automaton.glue(0, s1, s2)
-                w = w1 + w2 + 1  # MUTATION: off-by-one glue update
-                if better(w, nxt.get(s)):
-                    nxt[s] = w
-        combined = nxt
-
-    best: Optional[int] = None
-    for s, w in combined.items():
-        if automaton.accepts(s) and better(w, best):
-            best = w
-    return best
+    """The planted-off-by-one optimum for an ``optimize`` case."""
+    return mutant_reference(case, cache).value
 
 
 def mutant_reference(case: Case, cache: AutomatonCache) -> Reference:
-    """A reference with a silent off-by-one in the optimize glue tables.
+    """A reference with a silent off-by-one in the optimize glue update.
 
-    Non-``optimize`` workloads delegate to the honest reference, so the
-    mutation check isolates the optimize oracle path.
+    Non-``optimize`` workloads and infeasible cases get the honest
+    reference, so the mutation check isolates the optimize oracle path.
     """
-    if case.workload != "optimize":
-        return sequential_reference(case, cache)
-    value = mutant_optimize_value(case, cache)
-    if value is None:
-        return Reference(verdict=False)
-    return Reference(verdict=True, value=value)
+    honest = sequential_reference(case, cache)
+    if case.workload != "optimize" or honest.value is None:
+        return honest
+    # MUTATION: one extra unit per glue, n - 1 glues per run.
+    return replace(honest, value=honest.value + case.graph.num_vertices() - 1)

@@ -123,6 +123,23 @@ def test_engine_on_disconnected_graphs():
     assert check(formulas.acyclic(), g2, forest2)
     assert check(formulas.has_perfect_matching(), g2, forest2)
 
+    # Three components: optimize and count fold the roots with two glues
+    # at the empty boundary.
+    g3 = disjoint_union(disjoint_union(gen.cycle(3), gen.path(3)), gen.path(2))
+    forest3 = optimal_elimination_forest(g3)
+    assert len(forest3.roots()) == 3
+    s = vertex_set("S")
+    independent, dominating = formulas.independent_set(s), formulas.dominating_set(s)
+    for phi, maximize, value in ((independent, True, 4), (dominating, False, 3)):
+        result = optimize(phi, g3, forest3, s, maximize=maximize)
+        assert result.value == value
+        assert len(result.witness) == value
+        assert evaluate(g3, phi, {s: result.witness})
+        assert brute_optimize(g3, phi, s, maximize=maximize)[0] == value
+    for phi, total in ((independent, 60), (dominating, 105)):
+        assert count(phi, g3, forest3, (s,)) == total
+        assert count_satisfying_assignments(g3, phi, (s,)) == total
+
 
 def test_engine_rejects_invalid_forest():
     from repro.errors import DecompositionError

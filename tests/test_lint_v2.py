@@ -73,6 +73,24 @@ def test_every_distributed_program_certifies_log_n_family():
         assert bound.certified, f"{name}:{bound.qualname} exceeds declaration"
 
 
+#: The certified payload widths of the three table convergecasts.  Only a
+#: ⊤ width is an RL006 finding, so a silent widening would pass lint; any
+#: change here must be a tightening.
+TABLE_WIDTHS = {
+    "counting.py": Width(const=31, logn=1),
+    "optimization.py": Width(const=28, logn=3, msg=1),
+    "marked.py": Width(const=30, logn=3, msg=1),
+}
+
+
+def test_table_convergecast_widths_are_pinned():
+    widths = {
+        name: bound.width for name, bound in all_distributed_bounds()
+        if name in TABLE_WIDTHS
+    }
+    assert widths == TABLE_WIDTHS
+
+
 def test_distributed_tree_is_clean_with_no_rl006_suppressions():
     for path in sorted(DISTRIBUTED.rglob("*.py")):
         source = path.read_text()

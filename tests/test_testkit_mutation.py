@@ -1,8 +1,9 @@
 """The harness's sensitivity gate: the planted mutant MUST be caught.
 
-:mod:`repro.testkit.mutants` carries a value-only copy of the optimize
-dynamic program with a silent ``w1 + w2 + 1`` off-by-one in the glue
-update.  These tests pin the full kill chain — detect, shrink, replay —
+:mod:`repro.testkit.mutants` models a silent ``w1 + w2 + 1`` off-by-one
+in the optimize glue update: every glue shifts its table alike and a run
+glues n - 1 times, so the mutant answers the honest sequential optimum
+plus n - 1.  These tests pin the full kill chain — detect, shrink, replay —
 so a refactor that blinds the oracle (or the shrinker, or the corpus
 codec) fails loudly here instead of silently degrading the fuzzer.
 """
