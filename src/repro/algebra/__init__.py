@@ -1,22 +1,17 @@
 """The treedepth algebra and the Courcelle engine (paper Sections 3-4)."""
 
 from .automata import (
-    AllVerticesInAutomaton,
     ComplementAutomaton,
     ConstAutomaton,
     ContainsPatternAutomaton,
-    GraphDegreesAutomaton,
     EdgeWitnessAutomaton,
     EndpointsInAutomaton,
-    HasLabelAutomaton,
     IncCountsAutomaton,
-    IntersectsAutomaton,
-    NonEmptyAutomaton,
+    ItemScanAutomaton,
     ProductAutomaton,
     ProjectionAutomaton,
     SingletonAutomaton,
     State,
-    SubsetAutomaton,
     TreeAutomaton,
     extend_symbol,
 )
@@ -58,17 +53,16 @@ from .symbols import (
 )
 
 __all__ = [
-    "AllVerticesInAutomaton", "AutomatonCache", "CACHE_VERSION",
-    "ContainsPatternAutomaton",
-    "GraphDegreesAutomaton", "cache_key", "cached_compile",
+    "AutomatonCache", "CACHE_VERSION", "ContainsPatternAutomaton",
+    "cache_key", "cached_compile",
     "compile_with_singletons", "default_cache", "set_default_cache",
     "transition_table_bytes",
     "BaseStructure", "BaseSymbol", "ComplementAutomaton", "ConstAutomaton",
-    "EdgeWitnessAutomaton", "EndpointsInAutomaton", "HasLabelAutomaton",
-    "IncCountsAutomaton", "IntersectsAutomaton", "NonEmptyAutomaton",
+    "EdgeWitnessAutomaton", "EndpointsInAutomaton", "IncCountsAutomaton",
+    "ItemScanAutomaton",
     "MinimizationBudget", "MinimizationStats", "MinimizedAutomaton",
     "OptimizationResult", "ProductAutomaton", "ProjectionAutomaton",
-    "SingletonAutomaton", "State", "SubsetAutomaton", "SymbolChoice",
+    "SingletonAutomaton", "State", "SymbolChoice",
     "TreeAutomaton", "base_structure", "check",
     "check_assignment",
     "compile_formula", "count", "enumerate_symbol_choices", "extend_symbol",

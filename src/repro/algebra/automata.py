@@ -44,6 +44,14 @@ from .symbols import BaseSymbol
 
 State = Hashable
 
+#: The ``last`` slot of a pending state, and the host of a pattern item,
+#: while the deepest boundary vertex's Base symbol is not in the chunk.
+#: Not ``None``: before Python 3.12 ``hash(None)`` follows an address, so
+#: frozensets of such states would iterate, and pickle, in an order that
+#: moves between processes.  ``()`` hashes alike in every process and
+#: equals no ``last`` value (frozenset, bool, ``(bool, int)``) or host.
+_OPEN: Tuple[()] = ()
+
 
 class TreeAutomaton(ABC):
     """Deterministic bottom-up automaton over Base/Glue/Forget symbols.
@@ -234,75 +242,36 @@ class SingletonAutomaton(ScanAutomaton):
         return state == 1
 
 
-class IntersectsAutomaton(ScanAutomaton):
-    """Some item lies in both X_i and X_j (=, ∈ under singletons)."""
+class ItemScanAutomaton(ScanAutomaton):
+    """Whether some owned item matches, as an ∃ or a ∀ atom.
 
-    def __init__(self, scope: Sequence[Var], i: int, j: int):
+    An item matches when it is of ``kind`` (``"v"``, ``"e"`` or ``None``
+    for either), lies in every X_i of ``inside`` and in no X_j of
+    ``outside``, and, given a ``label``, carries it (``labelled``) or does
+    not.  The state records "a match was seen"; the atom accepts on it
+    (∃) or, with ``universal``, on its absence (∀).  So X_i ∩ X_j ≠ ∅ is
+    ``inside=(i, j)``, X_a ⊆ ∪ X_b is ``inside=(a,), outside=bs,
+    universal=True``, and "every item of X_i carries ℓ" is
+    ``inside=(i,), label=ℓ, labelled=False, universal=True``.
+    """
+
+    def __init__(
+        self,
+        scope: Sequence[Var],
+        *,
+        kind: Optional[str] = None,
+        inside: Iterable[int] = (),
+        outside: Iterable[int] = (),
+        label: Optional[str] = None,
+        labelled: bool = True,
+        universal: bool = False,
+    ):
         super().__init__(scope)
-        self._i, self._j = i, j
-
-    def _identity(self) -> State:
-        return False
-
-    def _combine(self, a: State, b: State) -> State:
-        return a or b
-
-    def _item_value(self, kind, bits, labels) -> State:
-        return self._i in bits and self._j in bits
-
-    def accepts(self, state: State) -> bool:
-        return bool(state)
-
-
-class SubsetAutomaton(ScanAutomaton):
-    """X_a ⊆ X_{b₁} ∪ … ∪ X_{b_m}: tracks whether a violation was seen."""
-
-    def __init__(self, scope: Sequence[Var], a: int, bs: Sequence[int]):
-        super().__init__(scope)
-        self._a = a
-        self._bs = tuple(bs)
-
-    def _identity(self) -> State:
-        return False
-
-    def _combine(self, a: State, b: State) -> State:
-        return a or b
-
-    def _item_value(self, kind, bits, labels) -> State:
-        return self._a in bits and not any(b in bits for b in self._bs)
-
-    def accepts(self, state: State) -> bool:
-        return not state
-
-
-class NonEmptyAutomaton(ScanAutomaton):
-    """X_i ≠ ∅."""
-
-    def __init__(self, scope: Sequence[Var], index: int):
-        super().__init__(scope)
-        self._index = index
-
-    def _identity(self) -> State:
-        return False
-
-    def _combine(self, a: State, b: State) -> State:
-        return a or b
-
-    def _item_value(self, kind, bits, labels) -> State:
-        return self._index in bits
-
-    def accepts(self, state: State) -> bool:
-        return bool(state)
-
-
-class HasLabelAutomaton(ScanAutomaton):
-    """Some item of X_i carries ``label`` (``universal=False``) or every
-    item of X_i carries it (``universal=True``)."""
-
-    def __init__(self, scope: Sequence[Var], index: int, label: str, universal: bool):
-        super().__init__(scope)
-        self._index = index
+        self._kind = kind
+        self._inside = frozenset(inside)
+        self._outside = frozenset(outside)
         self._label = label
+        self._labelled = labelled
         self._universal = universal
 
     def _identity(self) -> State:
@@ -312,54 +281,15 @@ class HasLabelAutomaton(ScanAutomaton):
         return a or b
 
     def _item_value(self, kind, bits, labels) -> State:
-        if self._index not in bits:
-            return False
-        has = self._label in labels
-        return (not has) if self._universal else has
+        return (
+            self._kind in (None, kind)
+            and self._inside <= bits
+            and self._outside.isdisjoint(bits)
+            and (self._label is None or (self._label in labels) == self._labelled)
+        )
 
     def accepts(self, state: State) -> bool:
-        # Universal mode tracks violations; existential mode tracks witnesses.
         return not state if self._universal else bool(state)
-
-
-class AllVerticesInAutomaton(ScanAutomaton):
-    """Every vertex of G lies in the union of the given variables."""
-
-    def __init__(self, scope: Sequence[Var], indices: Sequence[int]):
-        super().__init__(scope)
-        self._indices = tuple(indices)
-
-    def _identity(self) -> State:
-        return False
-
-    def _combine(self, a: State, b: State) -> State:
-        return a or b
-
-    def _item_value(self, kind, bits, labels) -> State:
-        return kind == "v" and not any(i in bits for i in self._indices)
-
-    def accepts(self, state: State) -> bool:
-        return not state
-
-
-class AllEdgesInAutomaton(ScanAutomaton):
-    """Every edge of G lies in the union of the given edge-set variables."""
-
-    def __init__(self, scope: Sequence[Var], indices: Sequence[int]):
-        super().__init__(scope)
-        self._indices = tuple(indices)
-
-    def _identity(self) -> State:
-        return False
-
-    def _combine(self, a: State, b: State) -> State:
-        return a or b
-
-    def _item_value(self, kind, bits, labels) -> State:
-        return kind == "e" and not any(i in bits for i in self._indices)
-
-    def accepts(self, state: State) -> bool:
-        return not state
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +302,8 @@ class PendingAutomaton(TreeAutomaton):
     State: ``(flag, pend, last)`` where ``pend`` has one entry per boundary
     position (requirements aimed at that ancestor), and ``last`` carries the
     information about the deepest boundary vertex gathered from its own Base
-    symbol — available exactly when that vertex is about to be forgotten.
+    symbol — available exactly when that vertex is about to be forgotten
+    (``_OPEN`` while that Base symbol is not in the chunk).
     """
 
     def _leaf(self, symbol: BaseSymbol) -> State:
@@ -387,19 +318,24 @@ class PendingAutomaton(TreeAutomaton):
         flag2, pend2, last2 = s2
         if len(pend1) != boundary or len(pend2) != boundary:
             raise ReproError("glue: boundary size mismatch")
-        if last1 is not None and last2 is not None:
+        if last1 != _OPEN and last2 != _OPEN:
             raise ReproError("glue: two Base symbols for one boundary vertex")
         pend = tuple(self._merge_pend(a, b) for a, b in zip(pend1, pend2))
-        return (flag1 or flag2, pend, last1 if last1 is not None else last2)
+        flag = self._merge_flag(flag1, flag2)
+        return (flag, pend, last1 if last1 != _OPEN else last2)
 
     def _forget(self, boundary: int, s: State) -> State:
         flag, pend, last = s
-        if last is None:
+        if last == _OPEN:
             raise ReproError("forget: boundary vertex bits unknown")
         flag = self._resolve(flag, pend[boundary - 1], last)
-        return (flag, pend[: boundary - 1], None)
+        return (flag, pend[: boundary - 1], _OPEN)
 
     # -- hooks ----------------------------------------------------------
+    def _merge_flag(self, a: Any, b: Any) -> Any:
+        """The flag of a glue of two chunks (default: either's flag)."""
+        return a or b
+
     @abstractmethod
     def _leaf_contributions(self, symbol: BaseSymbol) -> Tuple[bool, List[Tuple[int, Any]]]:
         """(initial flag, [(position, pend entry), ...]) for a Base symbol."""
@@ -483,12 +419,17 @@ class EdgeWitnessAutomaton(PendingAutomaton):
 class IncCountsAutomaton(PendingAutomaton):
     """Every vertex (optionally restricted to X_within) has a capped count
     of incident X_e edges inside ``allowed`` (the paper's degree-constraint
-    workhorse: matchings, 2-factors, cycle supports, cubic subgraphs)."""
+    workhorse: matchings, 2-factors, cycle supports, cubic subgraphs).
+
+    ``e=None`` counts every incident edge, so the count is the G-degree:
+    edges to ancestors seen at Base_v plus edges from descendants,
+    accumulated as capped pending counts.
+    """
 
     def __init__(
         self,
         scope: Sequence[Var],
-        e: int,
+        e: Optional[int],
         allowed: FrozenSet[int],
         within: Optional[int],
         cap: int = 3,
@@ -499,18 +440,20 @@ class IncCountsAutomaton(PendingAutomaton):
         self._within = within
         self._cap = cap
 
-    def _leaf_contributions(self, symbol: BaseSymbol):
-        contributions = [
-            (position, 1)
+    def _counted(self, symbol: BaseSymbol) -> List[int]:
+        """Positions of the owned edges this atom counts."""
+        return [
+            position
             for position, ebits in symbol.ebits
-            if self._e in ebits
+            if self._e is None or self._e in ebits
         ]
-        return False, contributions
+
+    def _leaf_contributions(self, symbol: BaseSymbol):
+        return False, [(position, 1) for position in self._counted(symbol)]
 
     def _last_info(self, symbol: BaseSymbol) -> Hashable:
         in_scope = self._within is None or self._within in symbol.vbits
-        own = sum(1 for _, ebits in symbol.ebits if self._e in ebits)
-        return (in_scope, min(self._cap, own))
+        return (in_scope, min(self._cap, len(self._counted(symbol))))
 
     def _empty_pend(self):
         return 0
@@ -612,22 +555,10 @@ class CliqueAutomaton(PendingAutomaton):
             violated = True
         return (violated, has_interior or last)
 
-    # The combined flag is a pair, so the OR-merge of the base class is
-    # overridden: two chunks with interior X-vertices are incomparable.
-    def _glue(self, boundary: int, s1: State, s2: State) -> State:
-        (v1, h1), pend1, last1 = s1
-        (v2, h2), pend2, last2 = s2
-        if len(pend1) != boundary or len(pend2) != boundary:
-            raise ReproError("glue: boundary size mismatch")
-        if last1 is not None and last2 is not None:
-            raise ReproError("glue: two Base symbols for one boundary vertex")
-        violated = v1 or v2 or (h1 and h2)
-        pend = tuple(a or b for a, b in zip(pend1, pend2))
-        return (
-            (violated, h1 or h2),
-            pend,
-            last1 if last1 is not None else last2,
-        )
+    # Two chunks with interior X-vertices are incomparable.
+    def _merge_flag(self, a, b):
+        (v1, h1), (v2, h2) = a, b
+        return (v1 or v2 or (h1 and h2), h1 or h2)
 
     def accepts(self, state: State) -> bool:
         return not state[0][0]
@@ -663,38 +594,6 @@ class EndpointsInAutomaton(PendingAutomaton):
 
     def _resolve(self, flag, pend_entry, last):
         return flag or (pend_entry and not last)
-
-    def accepts(self, state: State) -> bool:
-        return not state[0]
-
-
-class GraphDegreesAutomaton(PendingAutomaton):
-    """Every vertex's G-degree, capped at ``cap``, lies in ``allowed``.
-
-    Degree of v = (edges from v to ancestors, seen at Base_v) +
-    (edges from descendants to v, accumulated as capped pending counts).
-    """
-
-    def __init__(self, scope: Sequence[Var], allowed: FrozenSet[int], cap: int):
-        super().__init__(scope)
-        self._allowed = allowed
-        self._cap = cap
-
-    def _leaf_contributions(self, symbol: BaseSymbol):
-        return False, [(position, 1) for position in symbol.anc_edges]
-
-    def _last_info(self, symbol: BaseSymbol) -> Hashable:
-        return min(self._cap, len(symbol.anc_edges))
-
-    def _empty_pend(self):
-        return 0
-
-    def _merge_pend(self, a, b):
-        return min(self._cap, a + b)
-
-    def _resolve(self, flag, pend_entry, last):
-        total = min(self._cap, last + pend_entry)
-        return flag or total not in self._allowed
 
     def accepts(self, state: State) -> bool:
         return not state[0]
@@ -747,11 +646,11 @@ class ContainsPatternAutomaton(TreeAutomaton):
         }
 
     # Item = (placed: frozenset[int], demands: frozenset[(pos, src, tgt, pos?)])
-    # State = (found: bool, items: frozenset[Item], last: Optional[int|-1])
-    # ``last`` = the pattern vertex hosted by the deepest boundary vertex
-    # (-1 for "hosts nothing"); None when its Base is not in this chunk.
-    # Because hosting is a per-item choice, ``last`` lives inside items:
-    # item = (placed, demands, host) with host ∈ {None, -1, 0..n-1}.
+    # State = (found: bool, items: frozenset[Item], has_base: bool)
+    # ``host`` = the pattern vertex hosted by the deepest boundary vertex
+    # (-1 for "hosts nothing"); _OPEN when its Base is not in this chunk.
+    # Because hosting is a per-item choice, it lives inside items:
+    # item = (placed, demands, host) with host ∈ {_OPEN, -1, 0..n-1}.
 
     def _leaf(self, symbol: BaseSymbol) -> State:
         items = set()
@@ -832,7 +731,7 @@ class ContainsPatternAutomaton(TreeAutomaton):
             if not ok:
                 continue
             if b0 is None:
-                survivors.add((placed, rest, None))
+                survivors.add((placed, rest, _OPEN))
                 continue
             if b0 in placed:
                 continue  # pattern vertex hosted twice
@@ -848,7 +747,7 @@ class ContainsPatternAutomaton(TreeAutomaton):
                 continue  # a promise names an already-placed vertex: dead
             if len(new_placed) == len(self._h_vertices):
                 return (True, frozenset(), False)
-            survivors.add((new_placed, rest, None))
+            survivors.add((new_placed, rest, _OPEN))
         # Re-open the 'host' slot for the next boundary vertex: at this
         # boundary the deeper vertex is gone, its parent's Base is pending.
         return (False, frozenset(survivors), False)
@@ -929,9 +828,9 @@ class ProjectionAutomaton(TreeAutomaton):
 
     Glue and Forget visit a subset's members in the inner automaton's
     class-id order, never in frozenset iteration order: that order
-    follows hashes (on Python < 3.12, ``hash(None)`` follows an address)
-    and insertion history, and the order of inner calls decides the
-    inner class ids.  So ids, and with them
+    follows hashes (string hashes move with ``PYTHONHASHSEED``) and
+    insertion history, and the order of inner calls decides the inner
+    class ids.  So ids, and with them
     :func:`~repro.algebra.cache.transition_table_bytes`, are the same in
     every process and under every hash seed.
 

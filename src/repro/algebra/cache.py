@@ -73,7 +73,12 @@ from .minimize import _VARIANTS_ATTR
 #: pickle holds each state once), and subset-construction members are
 #: visited in class-id order, which fixes the ids inner components
 #: assign; a version-4 entry would keep growing its duplicated states.
-CACHE_VERSION = 5
+#: 6: the item-scan atoms are one class (``ItemScanAutomaton``), a graph
+#: degree atom is ``IncCountsAutomaton(e=None)``, pending states and
+#: pattern items mark an absent Base symbol with ``()`` instead of
+#: ``None`` (so entry files are byte-identical between processes), and
+#: keys hash the ``_canon_str`` spelling.
+CACHE_VERSION = 6
 
 __all__ = [
     "CACHE_VERSION",
@@ -87,60 +92,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Canonicalization (hash-order independent)
-# ----------------------------------------------------------------------
-
-def _canon(value: Any) -> Any:
-    """A canonical, deterministic structure for hashing and table dumps.
-
-    Frozensets/sets are sorted by the repr of their canonical elements, so
-    the result does not depend on hash seeds or insertion order.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__,) + tuple(
-            (f.name, _canon(getattr(value, f.name)))
-            for f in dataclasses.fields(value)
-        )
-    if isinstance(value, enum.Enum):
-        return ("enum", type(value).__name__, value.value)
-    if isinstance(value, (frozenset, set)):
-        return ("set",) + tuple(sorted((_canon(v) for v in value), key=repr))
-    if isinstance(value, (tuple, list)):
-        return ("seq",) + tuple(_canon(v) for v in value)
-    if isinstance(value, dict):
-        return ("map",) + tuple(
-            sorted(((repr(_canon(k)), _canon(v)) for k, v in value.items()))
-        )
-    return value
-
-
-def cache_key(
-    formula: sx.Formula,
-    scope: Sequence[sx.Var] = (),
-    *,
-    d: Optional[int] = None,
-    labels: Iterable[str] = (),
-    singletons: bool = False,
-    version: int = CACHE_VERSION,
-) -> str:
-    """The canonical digest naming one compiled-automaton cache entry."""
-    from .. import __version__
-
-    material = repr((
-        "repro-automaton",
-        version,
-        __version__,
-        _canon(formula),
-        _canon(tuple(scope)),
-        d,
-        tuple(sorted(set(labels))),
-        bool(singletons),
-    ))
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Canonical transition-table serialization
+# Canonical spelling (hash-order independent): keys and table bytes
 # ----------------------------------------------------------------------
 
 def _canon_str(value: Any, memo: Dict[Any, str]) -> str:
@@ -183,6 +135,33 @@ def _canon_str(value: Any, memo: Dict[Any, str]) -> str:
             memo[value] = out
         return out
     return repr(value)
+
+
+def cache_key(
+    formula: sx.Formula,
+    scope: Sequence[sx.Var] = (),
+    *,
+    d: Optional[int] = None,
+    labels: Iterable[str] = (),
+    singletons: bool = False,
+    version: int = CACHE_VERSION,
+) -> str:
+    """The canonical digest naming one compiled-automaton cache entry; the
+    formula and scope are spelled by :func:`_canon_str`, as table bytes are."""
+    from .. import __version__
+
+    memo: Dict[Any, str] = {}
+    material = repr((
+        "repro-automaton",
+        version,
+        __version__,
+        _canon_str(formula, memo),
+        _canon_str(tuple(scope), memo),
+        d,
+        tuple(sorted(set(labels))),
+        bool(singletons),
+    ))
+    return hashlib.sha256(material.encode()).hexdigest()
 
 
 def _component_automata(automaton: TreeAutomaton, _seen=None):

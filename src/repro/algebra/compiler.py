@@ -3,7 +3,8 @@
 The compilation is by structural induction, exactly the Borie-Parker-Tovey
 recipe instantiated on the treedepth algebra:
 
-* atoms           → hand-written scan / pending automata,
+* atoms           → hand-written scan / pending automata (one item scan
+  covers =, ∈, inclusion, intersection, non-emptiness, labels and covers),
 * ∧ / ∨           → product automata,
 * ¬               → complement (sound: every automaton is deterministic),
 * ∃X (set sort)   → projection + lazy subset construction,
@@ -22,24 +23,18 @@ from typing import Sequence, Tuple
 from ..errors import FormulaError
 from ..mso import syntax as sx
 from .automata import (
-    AllEdgesInAutomaton,
-    AllVerticesInAutomaton,
     CliqueAutomaton,
     ComplementAutomaton,
     ConstAutomaton,
     ContainsPatternAutomaton,
     EdgeWitnessAutomaton,
     EndpointsInAutomaton,
-    GraphDegreesAutomaton,
-    HasLabelAutomaton,
     IncCountsAutomaton,
     IncParityAutomaton,
-    IntersectsAutomaton,
-    NonEmptyAutomaton,
+    ItemScanAutomaton,
     ProductAutomaton,
     ProjectionAutomaton,
     SingletonAutomaton,
-    SubsetAutomaton,
     TreeAutomaton,
 )
 
@@ -87,6 +82,21 @@ def _index(scope: Tuple[sx.Var, ...], var: sx.Var) -> int:
         raise FormulaError(f"variable {var} escaped its scope") from None
 
 
+def _scan(
+    scope: Tuple[sx.Var, ...],
+    inside: Sequence[sx.Var] = (),
+    outside: Sequence[sx.Var] = (),
+    **options,
+) -> ItemScanAutomaton:
+    """The item scan over the given variables (see :class:`ItemScanAutomaton`)."""
+    return ItemScanAutomaton(
+        scope,
+        inside=[_index(scope, v) for v in inside],
+        outside=[_index(scope, v) for v in outside],
+        **options,
+    )
+
+
 def _compile(f: sx.Formula, scope: Tuple[sx.Var, ...]) -> TreeAutomaton:
     if isinstance(f, sx.Truth):
         return ConstAutomaton(scope, f.value)
@@ -105,30 +115,34 @@ def _compile(f: sx.Formula, scope: Tuple[sx.Var, ...]) -> TreeAutomaton:
             y=_index(scope, f.y) if f.y is not None else None,
             edge_filter=_index(scope, f.e),
         )
+    # Element variables are singleton sets: x = y and x ∈ S are
+    # intersections; the ∀ atoms scan for a counterexample.
     if isinstance(f, sx.Eq):
-        # Element variables are singleton sets: equality ⇔ intersection.
-        return IntersectsAutomaton(scope, _index(scope, f.x), _index(scope, f.y))
+        return _scan(scope, inside=(f.x, f.y))
     if isinstance(f, sx.In):
-        # x is a singleton: x ∈ S ⇔ {x} ∩ S ≠ ∅.
-        return IntersectsAutomaton(scope, _index(scope, f.x), _index(scope, f.s))
-    if isinstance(f, sx.Subset):
-        return SubsetAutomaton(
-            scope, _index(scope, f.a), [_index(scope, b) for b in f.bs]
-        )
+        return _scan(scope, inside=(f.x, f.s))
     if isinstance(f, sx.SetsIntersect):
-        return IntersectsAutomaton(scope, _index(scope, f.a), _index(scope, f.b))
+        return _scan(scope, inside=(f.a, f.b))
+    if isinstance(f, sx.NonEmpty):
+        return _scan(scope, inside=(f.a,))
+    if isinstance(f, sx.Subset):
+        return _scan(scope, inside=(f.a,), outside=f.bs, universal=True)
     if isinstance(f, sx.AllVerticesIn):
-        return AllVerticesInAutomaton(scope, [_index(scope, b) for b in f.bs])
+        return _scan(scope, kind="v", outside=f.bs, universal=True)
+    if isinstance(f, sx.AllEdgesIn):
+        return _scan(scope, kind="e", outside=f.bs, universal=True)
+    if isinstance(f, sx.HasLabel):
+        return _scan(scope, inside=(f.a,), label=f.label)
+    if isinstance(f, sx.AllHaveLabel):
+        return _scan(
+            scope, inside=(f.a,), label=f.label, labelled=False, universal=True
+        )
     if isinstance(f, sx.ContainsPattern):
         return ContainsPatternAutomaton(scope, f.num_vertices, f.edges, f.induced)
     if isinstance(f, sx.GraphDegrees):
-        return GraphDegreesAutomaton(scope, f.allowed, f.cap)
-    if isinstance(f, sx.NonEmpty):
-        return NonEmptyAutomaton(scope, _index(scope, f.a))
-    if isinstance(f, sx.HasLabel):
-        return HasLabelAutomaton(scope, _index(scope, f.a), f.label, universal=False)
-    if isinstance(f, sx.AllHaveLabel):
-        return HasLabelAutomaton(scope, _index(scope, f.a), f.label, universal=True)
+        return IncCountsAutomaton(
+            scope, e=None, allowed=f.allowed, within=None, cap=f.cap
+        )
     if isinstance(f, sx.IncCounts):
         return IncCountsAutomaton(
             scope,
@@ -144,8 +158,6 @@ def _compile(f: sx.Formula, scope: Tuple[sx.Var, ...]) -> TreeAutomaton:
             even=f.even,
             within=_index(scope, f.within) if f.within is not None else None,
         )
-    if isinstance(f, sx.AllEdgesIn):
-        return AllEdgesInAutomaton(scope, [_index(scope, b) for b in f.bs])
     if isinstance(f, sx.IsClique):
         return CliqueAutomaton(scope, _index(scope, f.x))
     if isinstance(f, sx.EndpointsIn):

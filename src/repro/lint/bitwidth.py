@@ -181,7 +181,7 @@ class AV:
     """A width plus (for containers) the width of an extracted element."""
 
     __slots__ = ("width", "content", "const_value", "value_le_d",
-                 "call_result")
+                 "call_result", "items")
 
     def __init__(
         self,
@@ -190,6 +190,7 @@ class AV:
         const_value: Optional[int] = None,
         value_le_d: bool = False,
         call_result: Optional["AV"] = None,
+        items: Optional[Tuple["AV", ...]] = None,
     ) -> None:
         self.width = width
         self.content = content
@@ -199,6 +200,9 @@ class AV:
         # codec.encode``): the abstract value a call through the name
         # returns.
         self.call_result = call_result
+        # For tuple literals: the value at each position, so unpacking
+        # charges each name its own field rather than the widest one.
+        self.items = items
 
     def elem(self) -> "AV":
         """The abstract value of one extracted element / component.
@@ -226,12 +230,20 @@ class AV:
         call_result: Optional[AV] = None
         if self.call_result is not None and other.call_result is not None:
             call_result = self.call_result.join(other.call_result)
+        items: Optional[Tuple[AV, ...]] = None
+        if (
+            self.items is not None
+            and other.items is not None
+            and len(self.items) == len(other.items)
+        ):
+            items = tuple(a.join(b) for a, b in zip(self.items, other.items))
         return AV(
             self.width.join(other.width),
             content=content,
             const_value=const_value,
             value_le_d=self.value_le_d and other.value_le_d,
             call_result=call_result,
+            items=items,
         )
 
 
@@ -481,11 +493,17 @@ class _Interp:
             env[target.id] = _weak(env, target.id, value)
         elif isinstance(target, (ast.Tuple, ast.List)):
             elts = list(target.elts)
-            if isinstance(value_expr, ast.Tuple) and len(value_expr.elts) == len(
-                elts
+            if (
+                value.items is not None
+                and len(value.items) == len(elts)
+                and not any(isinstance(t, ast.Starred) for t in elts)
             ):
-                for t, e in zip(elts, value_expr.elts):
-                    self._assign(t, self.eval(e, env), e, env)
+                exprs = (
+                    value_expr.elts if isinstance(value_expr, ast.Tuple)
+                    else [None] * len(elts)
+                )
+                for t, item, e in zip(elts, value.items, exprs):
+                    self._assign(t, item, e, env)
             else:
                 element = value.elem()
                 for t in elts:
@@ -562,10 +580,8 @@ class _Interp:
             return AV_TOP
         if isinstance(expr, ast.Attribute):
             return self._eval_attribute(expr, env)
-        if isinstance(expr, ast.Tuple):
-            return self._eval_sequence(expr.elts, env, header=4)
-        if isinstance(expr, (ast.List, ast.Set)):
-            return self._eval_sequence(expr.elts, env, header=4)
+        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
+            return self._eval_sequence(expr, env)
         if isinstance(expr, ast.Dict):
             parts = [self.eval(v, env) for v in expr.values if v is not None]
             parts += [self.eval(k, env) for k in expr.keys if k is not None]
@@ -672,15 +688,21 @@ class _Interp:
         self.eval(expr.value, env)
         return AV_TOP
 
-    def _eval_sequence(
-        self, elts: List[ast.AST], env: Dict[str, AV], header: int
-    ) -> AV:
-        avs = [self.eval(e, env) for e in elts]
-        width = Width(const=header)
+    def _eval_sequence(self, expr: ast.AST, env: Dict[str, AV]) -> AV:
+        """A tuple/list/set literal; a tuple without ``*`` parts also keeps
+        each position's value (see ``AV.items``)."""
+        avs = [self.eval(e, env) for e in expr.elts]
+        width = Width(const=4)
         for av in avs:
-            width = width.plus(av.width).add_const(0 if width.top else 0)
-        content = _join_all(avs) if avs else AV(Width())
-        return AV(width, content=content)
+            width = width.plus(av.width)
+        positional = isinstance(expr, ast.Tuple) and not any(
+            isinstance(e, ast.Starred) for e in expr.elts
+        )
+        return AV(
+            width,
+            content=_join_all(avs) if avs else AV(Width()),
+            items=tuple(avs) if positional else None,
+        )
 
     def _eval_binop(self, expr: ast.BinOp, env: Dict[str, AV]) -> AV:
         left = self.eval(expr.left, env)
@@ -1088,6 +1110,7 @@ def _widen(env: Dict[str, AV], prev: Dict[str, Width]) -> Dict[str, AV]:
             # A bound-method alias never changes what its calls return,
             # however wide the binding itself is widened.
             call_result=av.call_result,
+            items=av.items if width == av.width else None,
         )
     return out
 

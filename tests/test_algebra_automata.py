@@ -11,8 +11,8 @@ from repro.algebra import (
     ComplementAutomaton,
     ConstAutomaton,
     EdgeWitnessAutomaton,
-    GraphDegreesAutomaton,
-    NonEmptyAutomaton,
+    IncCountsAutomaton,
+    ItemScanAutomaton,
     ProductAutomaton,
     ProjectionAutomaton,
     SingletonAutomaton,
@@ -139,6 +139,17 @@ def test_singleton_automaton():
     assert not aut.accepts(run_chain(aut, none))
 
 
+def test_item_scan_with_empty_outside():
+    # X ⊆ ∅, i.e. X = ∅: the ∀ scan with no outside set.  The syntax has
+    # no ⊆ with zero supersets, so only the automaton is asked this.
+    x = Var("X", Sort.VERTEX_SET)
+    aut = ItemScanAutomaton((x,), inside=(0,), universal=True)
+    empty = [make_symbol(1, ()), make_symbol(2, (1,))]
+    assert aut.accepts(run_chain(aut, empty))
+    one = [make_symbol(1, ()), make_symbol(2, (1,), vbits=(0,))]
+    assert not aut.accepts(run_chain(aut, one))
+
+
 def test_edge_witness_adjacency():
     x = Var("X", Sort.VERTEX_SET)
     y = Var("Y", Sort.VERTEX_SET)
@@ -170,7 +181,8 @@ def test_edge_witness_with_filter():
 
 
 def test_graph_degrees_automaton():
-    aut = GraphDegreesAutomaton((), frozenset({0, 1}), cap=2)
+    aut = IncCountsAutomaton((), e=None, allowed=frozenset({0, 1}),
+                             within=None, cap=2)
     # Chain 0-1-2 (path): middle vertex has degree 2 -> violated.
     symbols = [
         make_symbol(1, ()),
@@ -225,7 +237,7 @@ def test_product_requires_children():
 
 def test_projection_scope_discipline():
     s = vertex_set("S")
-    inner = NonEmptyAutomaton((s,), 0)
+    inner = ItemScanAutomaton((s,), inside=(0,))
     proj = ProjectionAutomaton(inner, s)
     assert proj.scope == ()
     wrong = vertex_set("T")
@@ -235,7 +247,7 @@ def test_projection_scope_discipline():
 
 def test_projection_exists_nonempty():
     s = vertex_set("S")
-    inner = NonEmptyAutomaton((s,), 0)
+    inner = ItemScanAutomaton((s,), inside=(0,))
     proj = ProjectionAutomaton(inner, s)
     sym = make_symbol(1, ())
     state = proj.forget(1, proj.leaf(sym))

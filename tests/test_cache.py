@@ -570,18 +570,20 @@ def test_hash_consing_keeps_every_table_line_and_the_codec_order(
 
 _TABLE_DIGEST = """
 import hashlib
+import sys
 from repro.algebra import AutomatonCache, transition_table_bytes
 from repro.algebra.cache import _canon_str
 from repro.api import Session
 from repro.graph import generators as gen
 from repro.mso import formulas
 
-cache = AutomatonCache(persist=False)
+cache = AutomatonCache(sys.argv[1])
 for n, seed in ((10, 1), (11, 2), (12, 3)):
     session = Session(gen.random_bounded_treedepth(n, 3, 0.5, seed=seed),
                       d=3, cache=cache)
     session.count(formulas.dominating_set())
     session.decide(formulas.k_colorable(3))
+    session.decide(formulas.triangle_free())
 for automaton, codec in cache._memory.values():
     memo = {}
     order = "|".join(_canon_str(state, memo) for state in codec._by_id)
@@ -590,21 +592,28 @@ for automaton, codec in cache._memory.values():
 """
 
 
-def test_table_bytes_agree_across_processes_and_hash_seeds():
+def test_table_bytes_agree_across_processes_and_hash_seeds(tmp_path):
     # Before Python 3.12 ``hash(None)`` follows the address of None, so
     # frozenset iteration order moves between processes even under one
-    # PYTHONHASHSEED; the subset construction must not depend on it.
+    # PYTHONHASHSEED.  The subset construction must not depend on it, and
+    # no state may hold None, or the order a cache journal pickles a
+    # frozenset's members in (and so the entry file's bytes) moves too.
     src = Path(__file__).resolve().parent.parent / "src"
-    digests = []
-    for seed in ("1", "1", "7"):
+    digests, files = [], []
+    for index, seed in enumerate(("1", "1", "7")):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        directory = tmp_path / f"run{index}"
         run = subprocess.run(
-            [sys.executable, "-c", _TABLE_DIGEST],
+            [sys.executable, "-c", _TABLE_DIGEST, str(directory)],
             capture_output=True, text=True, env=env, check=True,
         )
         digests.append(run.stdout)
-    assert digests[0].count("\n") == 2
+        files.append({path.name: path.read_bytes()
+                      for path in sorted(directory.glob("*.pkl"))})
+    assert digests[0].count("\n") == 3
     assert digests[0] == digests[1] == digests[2]
+    assert len(files[0]) == 3
+    assert files[0] == files[1]
 
 
 def test_dropped_cache_frees_its_automata_without_the_cycle_collector(

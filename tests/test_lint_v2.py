@@ -200,6 +200,27 @@ def test_rl006_charges_helpers_behind_absolute_imports(monkeypatch):
     assert widths[0].evaluate(n=1024, d=3, budget=48) == 76
 
 
+def test_rl006_charges_each_field_of_an_unpacked_tuple_once():
+    # Unpacking ``for cid, w in entries`` gives each name its own field's
+    # width, so building the pairs first certifies what sending them
+    # straight from the inbox does.
+    fixture = REPO / "tests" / "lint_fixtures" / "rl006_unpacked_tuple.py"
+    source = fixture.read_text()
+    direct = source.replace(
+        "    entries = [(codec.encode(s), w) for s, w in inbox.items()]\n"
+        "    for cid, w in entries:\n"
+        "        ctx.send(parent, (\"opt\", (cid, w)))\n",
+        "    for s, w in inbox.items():\n"
+        "        ctx.send(parent, (\"opt\", (codec.encode(s), w)))\n",
+    )
+    assert direct != source
+    widths = []
+    for text in (source, direct):
+        (program,) = discover_programs(ModuleInfo.from_source(text, str(fixture)))
+        widths.append(certify_program(_expanded(program)).width)
+    assert widths[0] == widths[1] == Width(const=16, logn=1, msg=1)
+
+
 # -- interprocedural findings and noqa --------------------------------------
 
 HELPER_VIOLATION = """

@@ -28,12 +28,18 @@ from repro.treedepth import (
 
 @st.composite
 def graphs(draw, min_vertices=1, max_vertices=6, connected=False):
+    # Some vertices and edges carry the label "a" (the label atoms read it).
     n = draw(st.integers(min_vertices, max_vertices))
     g = Graph(range(n))
+    for v in range(n):
+        if draw(st.booleans()):
+            g.add_vertex_label(v, "a")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for u, v in pairs:
         if draw(st.booleans()):
             g.add_edge(u, v)
+            if draw(st.booleans()):
+                g.add_edge_label(u, v, "a")
     if connected and not g.is_connected():
         components = g.connected_components()
         for a, b in zip(components, components[1:]):
@@ -147,6 +153,7 @@ _ATOMS = [
     sx.NonEmpty(_X),
     sx.NonEmpty(_E),
     sx.Subset(_X, (_Y,)),
+    sx.Subset(_X, (_X,)),
     sx.SetsIntersect(_X, _Y),
     sx.AllVerticesIn((_X, _Y)),
     sx.Inc(_x, _E),
@@ -162,6 +169,11 @@ _ATOMS = [
     sx.IsClique(_X),
     sx.IsClique(_x),
     sx.EndpointsIn(_E, _X),
+    sx.HasLabel(_X, "a"),
+    sx.HasLabel(_E, "a"),
+    sx.AllHaveLabel(_X, "a"),
+    sx.AllHaveLabel(_E, "a"),
+    sx.GraphDegrees(frozenset({0, 1, 2}), cap=3),
     sx.Truth(True),
 ]
 
