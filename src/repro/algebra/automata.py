@@ -85,6 +85,18 @@ class TreeAutomaton(ABC):
         self._states = []
         self._sync_states()
 
+    def _truncate(self, lengths: Sequence[int]) -> None:
+        """Shrink every :func:`op_tables` table back to ``lengths``.
+
+        The tables are insertion ordered and grow only at their end, so
+        popping their newest items restores them exactly as they were
+        when they had these lengths; ``_states`` follows ``_intern``.
+        """
+        for table, length in zip(op_tables(self), lengths):
+            for _ in range(len(table) - length):
+                table.popitem()
+        del self._states[len(self._intern):]
+
     def _sync_states(self) -> None:
         """Extend the id -> state list to every class ``_intern`` holds.
 
@@ -164,6 +176,43 @@ class TreeAutomaton(ABC):
     @abstractmethod
     def accepts(self, state: State) -> bool:
         """Is ``state`` an accepting class?  (Boundary must be empty.)"""
+
+
+def op_tables(automaton: TreeAutomaton) -> Tuple[dict, ...]:
+    """The grow-only transition tables of one automaton, in journal order.
+
+    What a run adds to an automaton lands in these four tables (and the
+    ``_states`` list that mirrors ``_intern``), so the cache journals
+    exactly their growth and a failed minimization closure rolls back
+    exactly them.
+    """
+    return (
+        automaton._leaf_cache,
+        automaton._glue_cache,
+        automaton._forget_cache,
+        automaton._intern,
+    )
+
+
+def component_automata(
+    automaton: TreeAutomaton, _seen=None
+) -> Iterator[TreeAutomaton]:
+    """Depth-first walk of an automaton and its composite children.
+
+    Shared sub-automata are yielded once (the walk is over a DAG, not a
+    tree), in first-encounter order — deterministic for a fixed compile.
+    """
+    if _seen is None:
+        _seen = set()
+    if id(automaton) in _seen:
+        return
+    _seen.add(id(automaton))
+    yield automaton
+    for child in getattr(automaton, "_children", ()):
+        yield from component_automata(child, _seen)
+    inner = getattr(automaton, "_inner", None)
+    if isinstance(inner, TreeAutomaton):
+        yield from component_automata(inner, _seen)
 
 
 # ----------------------------------------------------------------------
@@ -840,9 +889,9 @@ class ProjectionAutomaton(TreeAutomaton):
     ``(boundary, S2)`` and ``a``, deduplicated.  A row is only reused
     once every inner glue in it has been computed and interned, so inner
     glues run, and intern, in exactly the order of gluing every pair.
-    The memo is process-local (never pickled, empty after a load) and
-    bounded by ``_ROW_LIMIT``.  Forget needs none: it is linear in |S|,
-    with no pair product.
+    The memo is process-local (never pickled, empty after a load or a
+    :meth:`_truncate`) and bounded by ``_ROW_LIMIT``.  Forget needs none:
+    it is linear in |S|, with no pair product.
     """
 
     def __init__(self, inner: TreeAutomaton, var: Var):
@@ -869,6 +918,11 @@ class ProjectionAutomaton(TreeAutomaton):
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         super().__setstate__(state)
+        self._reset_rows()
+
+    def _truncate(self, lengths: Sequence[int]) -> None:
+        # A memoized row may hold inner states the truncation dropped.
+        super()._truncate(lengths)
         self._reset_rows()
 
     def _members(self, s: State) -> List[State]:

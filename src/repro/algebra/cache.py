@@ -53,7 +53,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..mso import syntax as sx
 from ..obs.registry import registry as _registry
-from .automata import TreeAutomaton
+from .automata import TreeAutomaton, component_automata, op_tables
 from .compiler import compile_formula, compile_with_singletons
 from .minimize import _VARIANTS_ATTR
 
@@ -164,25 +164,6 @@ def cache_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def _component_automata(automaton: TreeAutomaton, _seen=None):
-    """Depth-first walk of an automaton and its composite children.
-
-    Shared sub-automata are yielded once (the walk is over a DAG, not a
-    tree), in first-encounter order — deterministic for a fixed compile.
-    """
-    if _seen is None:
-        _seen = set()
-    if id(automaton) in _seen:
-        return
-    _seen.add(id(automaton))
-    yield automaton
-    for child in getattr(automaton, "_children", ()):
-        yield from _component_automata(child, _seen)
-    inner = getattr(automaton, "_inner", None)
-    if isinstance(inner, TreeAutomaton):
-        yield from _component_automata(inner, _seen)
-
-
 def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
     """Canonical bytes of every materialized transition-table entry.
 
@@ -206,7 +187,7 @@ def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
         return digest
 
     lines = []
-    for index, component in enumerate(_component_automata(automaton)):
+    for index, component in enumerate(component_automata(automaton)):
         prefix = f"{index}:{type(component).__name__}"
         for symbol, state in component._leaf_cache.items():
             lines.append(f"{prefix}|leaf|{tag(symbol)}|{tag(state)}")
@@ -222,6 +203,14 @@ def transition_table_bytes(automaton: TreeAutomaton) -> bytes:
     return "\n".join(lines).encode()
 
 
+def _variants(component: TreeAutomaton) -> dict:
+    """The memoized ``(d, labels) -> wrapper`` map of ``component``.
+
+    A ``None`` wrapper is a memoized budget fallback.
+    """
+    return getattr(component, _VARIANTS_ATTR, None) or {}
+
+
 def _table_entries(automaton: TreeAutomaton) -> int:
     """Total materialized table entries (a cheap warm-ness measure).
 
@@ -231,21 +220,12 @@ def _table_entries(automaton: TreeAutomaton) -> int:
     per entry by :meth:`AutomatonCache.stats`.
     """
     total = 0
-
-    def op_caches(aut: TreeAutomaton) -> int:
-        return (
-            len(aut._leaf_cache)
-            + len(aut._glue_cache)
-            + len(aut._forget_cache)
-            + len(aut._intern)
-        )
-
-    for component in _component_automata(automaton):
-        total += op_caches(component)
-        for minimized in getattr(component, "_minimized_variants", {}).values():
+    for component in component_automata(automaton):
+        total += sum(map(len, op_tables(component)))
+        for minimized in _variants(component).values():
             total += 1  # the memoized variant itself (None = fallback)
             if minimized is not None:
-                total += op_caches(minimized)
+                total += sum(map(len, op_tables(minimized)))
                 total += sum(
                     len(table) for table in minimized._quotient.values()
                 )
@@ -260,20 +240,6 @@ def _table_entries(automaton: TreeAutomaton) -> int:
 _FRAME = struct.Struct("<II")
 
 
-def _op_tables(automaton: TreeAutomaton) -> Tuple[dict, ...]:
-    """The grow-only transition tables of one automaton, in journal order."""
-    return (
-        automaton._leaf_cache,
-        automaton._glue_cache,
-        automaton._forget_cache,
-        automaton._intern,
-    )
-
-
-def _variants(component: TreeAutomaton) -> dict:
-    return getattr(component, _VARIANTS_ATTR, None) or {}
-
-
 def _wrappers(variants: Iterable[Any]) -> List[TreeAutomaton]:
     return [wrapper for wrapper in variants if wrapper is not None]
 
@@ -281,20 +247,20 @@ def _wrappers(variants: Iterable[Any]) -> List[TreeAutomaton]:
 def _cursor(entry: Tuple[TreeAutomaton, Any]) -> Tuple[Any, int]:
     """How far every grow-only table of ``entry`` extends right now.
 
-    Per component (in :func:`_component_automata` order): the op-table
+    Per component (in :func:`component_automata` order): the op-table
     lengths, the number of minimized variants and the op-table lengths of
     each variant's wrapper; then the codec's class count.  Two equal
     cursors mean nothing grew in between.
     """
     automaton, codec = entry
     parts = []
-    for component in _component_automata(automaton):
+    for component in component_automata(automaton):
         variants = _variants(component)
         parts.append((
-            tuple(map(len, _op_tables(component))),
+            tuple(map(len, op_tables(component))),
             len(variants),
             tuple(
-                tuple(map(len, _op_tables(wrapper)))
+                tuple(map(len, op_tables(wrapper)))
                 for wrapper in _wrappers(variants.values())
             ),
         ))
@@ -339,15 +305,15 @@ def _delta(entry: Tuple[TreeAutomaton, Any], cursor: Tuple[Any, int]):
     component_cursors, classes = cursor
     parts = []
     for component, (lengths, num_variants, wrapper_lengths) in zip(
-        _component_automata(automaton), component_cursors
+        component_automata(automaton), component_cursors
     ):
         variants = _variants(component)
         old = _wrappers(islice(variants.values(), num_variants))
         parts.append((
-            _tails(_op_tables(component), lengths),
+            _tails(op_tables(component), lengths),
             _Tail(variants, num_variants),
             [
-                _tails(_op_tables(wrapper), wrapper_length)
+                _tails(op_tables(wrapper), wrapper_length)
                 for wrapper, wrapper_length in zip(old, wrapper_lengths)
             ],
         ))
@@ -368,7 +334,7 @@ def _delta_fits(entry: Tuple[TreeAutomaton, Any], delta: Any) -> bool:
         and isinstance(delta[0], list) and isinstance(delta[1], list)
     ):
         return False
-    components = list(_component_automata(entry[0]))
+    components = list(component_automata(entry[0]))
     if len(delta[0]) != len(components):
         return False
     for component, part in zip(components, delta[0]):
@@ -392,7 +358,7 @@ def _delta_fits(entry: Tuple[TreeAutomaton, Any], delta: Any) -> bool:
 
 
 def _extend(automaton: TreeAutomaton, tails: Sequence[dict]) -> None:
-    for table, tail in zip(_op_tables(automaton), tails):
+    for table, tail in zip(op_tables(automaton), tails):
         table.update(tail)
     automaton._sync_states()
 
@@ -402,7 +368,7 @@ def _apply_delta(entry: Tuple[TreeAutomaton, Any], delta: Any) -> None:
     automaton, codec = entry
     parts, new_classes = delta
     for component, (tails, new_variants, wrapper_tails) in zip(
-        _component_automata(automaton), parts
+        component_automata(automaton), parts
     ):
         _extend(component, tails)
         for wrapper, tail in zip(
@@ -800,7 +766,7 @@ class AutomatonCache:
         for key in sorted(self._memory):
             automaton = self._memory[key][0]
             minimized = []
-            variants = getattr(automaton, "_minimized_variants", {})
+            variants = _variants(automaton)
             for (vd, vlabels), wrapper in sorted(variants.items()):
                 info: Dict[str, Any] = {
                     "d": vd,

@@ -57,6 +57,16 @@ number of labels/variables, so every pass is guarded by a
 :class:`MinimizationBudget`; blowing the budget falls back to the
 unminimized automaton (recorded in the metrics registry), never to an
 error.
+
+**A fallback leaves no trace.**  The closure probes the automaton's own
+``leaf``/``glue``/``forget``, which intern states and fill op tables in
+every component.  On any exit but success — a tripped cap or an
+exception — :func:`minimize_automaton` pops each component's
+:func:`~repro.algebra.automata.op_tables` back to the lengths they had
+before the closure (``TreeAutomaton._truncate``, which also empties a
+projection's row memo).  So ``transition_table_bytes`` is byte-identical
+to before the call, and the cache entry's next journal record carries
+only the memoized ``None``.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ from ..errors import ReproError
 from ..graph import Graph
 from ..mso.syntax import Var
 from ..obs.registry import registry as _registry
-from .automata import State, TreeAutomaton
+from .automata import State, TreeAutomaton, component_automata, op_tables
 from .symbols import BaseStructure, BaseSymbol
 
 __all__ = [
@@ -227,24 +237,36 @@ class _ClosureOverflow(Exception):
     """Internal: a budget cap was hit mid-closure."""
 
 
-def _state_size(value: State, cap: int) -> int:
-    """Structural node count of ``value``, short-circuited above ``cap``.
+#: The values :func:`_tree_size` descends into.
+_CONTAINERS = (tuple, list, frozenset, set)
+
+
+def _tree_size(
+    value: State, cap: int, memo: Dict[int, Tuple[int, State]]
+) -> int:
+    """Structural node count of ``value``, saturated at ``cap + 1``.
 
     Counts the value as a tree (no sharing detection): object identity
     and interning vary with cache warmth, but tree size is a pure
     function of the value, so the over-``cap`` verdict is reproducible.
-    The cap bounds the traversal itself, so an exponentially shared
-    value costs O(cap), not O(tree).
+    ``memo`` maps a container's ``id`` to its saturated size (and holds
+    the container, so the id stays its own); hash-consed states share
+    their sub-objects, so across one closure each distinct container is
+    counted once.  Saturating every subtree at ``cap + 1`` leaves the
+    total exactly ``min(tree size, cap + 1)``.
     """
-    total = 0
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        total += 1
+    if not isinstance(value, _CONTAINERS):
+        return 1
+    known = memo.get(id(value))
+    if known is not None:
+        return known[0]
+    total = 1
+    for item in value:
+        total += _tree_size(item, cap, memo)
         if total > cap:
-            return total
-        if isinstance(item, (tuple, list, frozenset, set)):
-            stack.extend(item)
+            total = cap + 1
+            break
+    memo[id(value)] = (total, value)
     return total
 
 
@@ -272,6 +294,7 @@ class _Closure:
         self._probes = 0
         self._total = 0
         self._work = 0
+        self._size_memo: Dict[int, Tuple[int, State]] = {}
         self.d = d
         self.states: List[List[State]] = [[] for _ in range(d + 1)]
         self.sizes: List[List[int]] = [[] for _ in range(d + 1)]
@@ -300,7 +323,7 @@ class _Closure:
                     >= self._budget.max_level_states):
                 raise _ClosureOverflow
             cap = self._budget.max_state_size
-            size = _state_size(state, cap)
+            size = _tree_size(state, cap, self._size_memo)
             if size > cap:
                 raise _ClosureOverflow
             local = len(self.states[level])
@@ -589,11 +612,22 @@ def minimize_automaton(
     )
     if alphabet is None:
         return None
+    # The closure's probes intern states and fill op tables in every
+    # component; on any exit but success they are popped back, so a
+    # fallback leaves the automaton as it found it.
+    marks = [
+        (component, tuple(map(len, op_tables(component))))
+        for component in component_automata(automaton)
+    ]
     closure = _Closure(automaton, d, budget)
     try:
         closure.build(alphabet)
-    except _ClosureOverflow:
-        return None
+    except BaseException as error:
+        for component, lengths in marks:
+            component._truncate(lengths)
+        if isinstance(error, _ClosureOverflow):
+            return None
+        raise
     closure.resolve_forgets()
     block, order = _refine(closure)
 

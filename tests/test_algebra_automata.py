@@ -22,7 +22,8 @@ from repro.algebra import (
     owned_items,
     symbol_for_assignment,
 )
-from repro.algebra.cache import _component_automata, transition_table_bytes
+from repro.algebra.automata import component_automata
+from repro.algebra.cache import transition_table_bytes
 from repro.errors import ReproError
 from repro.graph import generators as gen
 from repro.mso import Sort, Var, formulas, vertex_set
@@ -286,7 +287,7 @@ def compiled_with(projection, monkeypatch, phi, scope=()):
 
 def projections(automaton):
     return [
-        component for component in _component_automata(automaton)
+        component for component in component_automata(automaton)
         if isinstance(component, ProjectionAutomaton)
     ]
 
@@ -303,7 +304,7 @@ def tables_and_ids(automaton):
             (tuple(state) if isinstance(state, frozenset) else state, class_id)
             for state, class_id in component._intern.items()
         ]
-        for component in _component_automata(automaton)
+        for component in component_automata(automaton)
     ]
     return sorted(lines), ids
 

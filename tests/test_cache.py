@@ -32,6 +32,7 @@ from repro.algebra.automata import (
     ProductAutomaton,
     ProjectionAutomaton,
     TreeAutomaton,
+    component_automata,
 )
 from repro.algebra.minimize import MinimizedAutomaton
 from repro.api import Session
@@ -231,8 +232,8 @@ def _assert_same_entry(loaded, written):
     assert transition_table_bytes(automaton) \
         == transition_table_bytes(expected)
     assert codec._by_id == expected_codec._by_id
-    variants = getattr(automaton, "_minimized_variants", {})
-    expected_variants = getattr(expected, "_minimized_variants", {})
+    variants = cache_module._variants(automaton)
+    expected_variants = cache_module._variants(expected)
     assert list(variants) == list(expected_variants)
     for key, wrapper in expected_variants.items():
         if wrapper is None:
@@ -401,7 +402,7 @@ def test_failed_append_falls_back_to_a_snapshot(tmp_path, monkeypatch):
 
 def _components(automaton):
     """Every component of ``automaton`` and every minimized wrapper."""
-    components = list(cache_module._component_automata(automaton))
+    components = list(component_automata(automaton))
     return components + [
         wrapper
         for component in components

@@ -3,18 +3,31 @@
 The acceptance bar: minimization never changes an answer (verdict, count,
 optimum, witness); redundant
 kernels actually shrink; budget caps fall back to the raw automaton
-instead of stalling; and the quotient map is applied per boundary level
+instead of stalling, and a fallback leaves no trace in the automaton or
+its cache entry; and the quotient map is applied per boundary level
 (one state value may occur at several levels with distinct classes).
 """
 
+import io
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra import check as sequential_check
-from repro.algebra import compile_formula
-from repro.algebra.cache import AutomatonCache
+from repro.algebra import compile_formula, compile_with_singletons
+from repro.algebra import cache as cache_module
+from repro.algebra.automata import (
+    ProjectionAutomaton,
+    component_automata,
+    op_tables,
+)
+from repro.algebra.cache import AutomatonCache, transition_table_bytes
 from repro.algebra.minimize import (
     DEFAULT_BUDGET,
     MinimizationBudget,
+    _tree_size,
     graph_label_alphabet,
     minimization_stats,
     minimize_automaton,
@@ -252,3 +265,237 @@ def test_run_report_carries_state_counts(network):
         network, d=3, minimize=False, cache=AutomatonCache(persist=False)
     ).decide(formulas.acyclic())
     assert fallback.report.states_total == 0
+
+
+# -- the size budget --------------------------------------------------------
+
+def _naive_size(value) -> int:
+    if isinstance(value, (tuple, list, frozenset, set)):
+        return 1 + sum(_naive_size(item) for item in value)
+    return 1
+
+
+@st.composite
+def _shared_values(draw):
+    """Nested tuples and frozensets built from one pool, so they share
+    sub-objects the way hash-consed states do."""
+    atoms = st.integers(-3, 3) | st.booleans() | st.just(())
+    pool = draw(st.lists(atoms, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 8))):
+        members = draw(st.lists(st.sampled_from(pool), max_size=3))
+        pool.append(tuple(members) if draw(st.booleans())
+                    else frozenset(members))
+    return pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_values(), st.integers(0, 40))
+def test_memoized_tree_size_is_the_saturated_tree_count(values, cap):
+    memo = {}  # one memo across values, as one closure keeps
+    for value in reversed(values):
+        assert _tree_size(value, cap, memo) \
+            == min(_naive_size(value), cap + 1)
+    for value in values:  # and again, now answered from the memo
+        assert _tree_size(value, cap, memo) \
+            == min(_naive_size(value), cap + 1)
+
+
+def _scope(phi):
+    """A formula's free variables in the order a Session gives them."""
+    return tuple(sorted(sx.free_variables(phi), key=lambda v: v.name))
+
+
+def _compile(phi):
+    scope = _scope(phi)
+    if any(not v.sort.is_set for v in scope):
+        return compile_with_singletons(phi, scope)
+    return compile_formula(phi, scope)
+
+
+#: Per formula, the closure's outcome at d = 2, 3, 4: None for a budget
+#: fallback, else MinimizationStats' (total, reachable, minimized).  The
+#: formulas are `repro check --catalog`'s plus the session benchmark's
+#: count/optimize formulas and its triangle-free spelling.  Recorded
+#: before the closure had a size memo or a rollback; neither may move a
+#: single decision.
+PINNED_VERDICTS = {
+    "2-colorable": (lambda: formulas.k_colorable(2),
+                    ((18, 15, 9), None, None)),
+    "3-colorable": (lambda: formulas.k_colorable(3), (None, None, None)),
+    "acyclic": (formulas.acyclic, ((12, 10, 6), (122, 95, 15), None)),
+    "c4-free": (lambda: formulas.h_free(gen.cycle(4)),
+                ((5, 5, 4), None, None)),
+    "claw-free": (lambda: formulas.h_free(gen.claw()),
+                  ((12, 10, 10), (85, 67, 40), None)),
+    "connected": (formulas.connected, ((52, 39, 13), None, None)),
+    "dominating-set": (formulas.dominating_set, ((137, 107, 14), None, None)),
+    "edge-3-colorable": (lambda: formulas.edge_k_colorable(3),
+                         (None, None, None)),
+    "h-free-triangle": (lambda: formulas.h_free(gen.triangle()),
+                        ((5, 5, 4), (22, 20, 13), None)),
+    "hamiltonian": (formulas.hamiltonian_cycle_exists, (None, None, None)),
+    "has-cubic-subgraph": (formulas.has_cubic_subgraph,
+                           ((14, 11, 6), (101, 80, 12), None)),
+    "has-even-subgraph": (formulas.has_even_subgraph,
+                          ((10, 9, 6), (47, 41, 15), (206, 178, 30))),
+    "independent-set": (formulas.independent_set,
+                        ((11, 11, 9), (31, 31, 21), (71, 71, 43))),
+    "non-3-colorable": (lambda: formulas.not_k_colorable(3),
+                        (None, None, None)),
+    "perfect-matching": (formulas.has_perfect_matching,
+                         ((21, 15, 9), (311, 224, 32), None)),
+    "triangle-assignment": (lambda: formulas.triangle_assignment()[0],
+                            ((746, 636, 30), None, None)),
+    "triangle-free": (formulas.triangle_free, (None, None, None)),
+    "two-clique-cover": (lambda: formulas.partition_into_k_cliques(2),
+                         ((41, 28, 14), None, None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERDICTS))
+def test_catalogue_verdicts_and_stats_are_pinned(name):
+    factory, expected = PINNED_VERDICTS[name]
+    outcomes = []
+    for d in (2, 3, 4):
+        wrapper = minimize_automaton(_compile(factory()), d=d)
+        outcomes.append(None if wrapper is None else (
+            wrapper.stats.states_total,
+            wrapper.stats.states_reachable,
+            wrapper.stats.states_minimized,
+        ))
+    assert tuple(outcomes) == expected
+
+
+# -- a fallback leaves no trace ---------------------------------------------
+
+#: The benchmark's budget fallbacks: formula, d and the query that runs it.
+FALLBACKS = {
+    "connected-d3": (formulas.connected, 3, "decide"),
+    "3-colorable-d3": (lambda: formulas.k_colorable(3), 3, "decide"),
+    "acyclic-d4": (formulas.acyclic, 4, "decide"),
+    "dominating-set-d3": (formulas.dominating_set, 3, "optimize"),
+}
+
+
+def _ask(session, kind, phi):
+    if kind == "decide":
+        return session.decide(phi)
+    return session.optimize(phi, sense="min")
+
+
+def _signature(result):
+    return (result.verdict, result.value, result.witness, result.rounds,
+            result.messages, result.max_payload_bits, result.num_classes)
+
+
+def _warm(cache, phi, d, kind):
+    """Two raw-automaton queries: a snapshot plus two journal deltas."""
+    for seed in (1, 2):
+        graph = gen.random_bounded_treedepth(10, d, seed=seed)
+        _ask(Session(graph, d, minimize=False, cache=cache), kind, phi)
+    return cache.automaton_with_codec(phi, _scope(phi), d=d)
+
+
+def _footprint(automaton):
+    return (
+        transition_table_bytes(automaton),
+        [tuple(map(len, op_tables(component)))
+         for component in component_automata(automaton)],
+        [len(component._states)
+         for component in component_automata(automaton)],
+    )
+
+
+def _records(path):
+    """Every record of an entry journal, unpickled as a load would."""
+    data = path.read_bytes()
+    spans, rejected = cache_module._verified_spans(data)
+    assert rejected == 0
+    stream = io.BytesIO(data)
+    unpickler = pickle.Unpickler(stream)
+    records = []
+    for start, _end in spans:
+        stream.seek(start)
+        records.append(unpickler.load())
+    return records
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_a_fallback_leaves_no_trace(case, tmp_path):
+    factory, d, kind = FALLBACKS[case]
+    phi = factory()
+    writer = AutomatonCache(tmp_path)
+    automaton, _codec = _warm(writer, phi, d, kind)
+    (key,) = writer._memory
+    assert writer._records[key] == 3
+
+    # An entry loaded from the journal: snapshot plus two deltas.
+    reader = AutomatonCache(tmp_path)
+    loaded, _ = reader.automaton_with_codec(phi, _scope(phi), d=d)
+    assert reader._records[key] == 3
+    for entry in (loaded, automaton):
+        before = _footprint(entry)
+        assert minimized_automaton(entry, d=d) is None
+        assert _footprint(entry) == before
+
+    # The writer's next save appends the memoized fallback and nothing else.
+    path = tmp_path / f"{key}.pkl"
+    assert writer.save_warm() == 1
+    records = _records(path)
+    assert len(records) == 4
+    parts, new_classes = records[-1]
+    assert new_classes == []
+    for index, (tails, new_variants, wrapper_tails) in enumerate(parts):
+        assert tails == [{}, {}, {}, {}]
+        assert wrapper_tails == []
+        assert new_variants == ({(d, ()): None} if index == 0 else {})
+
+    # A later query runs as it would on an automaton that never saw the
+    # closure: same answer, transcript counts, tables and codec.
+    twin = AutomatonCache(persist=False)
+    twin_automaton, twin_codec = _warm(twin, phi, d, kind)
+    star = gen.star(5)  # a shallow forest: the run consults the variant
+    ran = _ask(Session(star, d, cache=writer), kind, phi)
+    expected = _ask(Session(star, d, minimize=False, cache=twin), kind, phi)
+    assert _signature(ran) == _signature(expected)
+    assert transition_table_bytes(automaton) \
+        == transition_table_bytes(twin_automaton)
+    assert writer._memory[key][1]._by_id == twin_codec._by_id
+
+
+def test_an_error_mid_closure_rolls_back_and_propagates(monkeypatch):
+    phi = formulas.k_colorable(3)
+    cache = AutomatonCache(persist=False)
+    automaton, _codec = _warm(cache, phi, 3, "decide")
+    before = _footprint(automaton)
+    projections = [
+        component for component in component_automata(automaton)
+        if isinstance(component, ProjectionAutomaton)
+    ]
+    innermost = projections[-1]
+    assert innermost._rows  # the warm-up left memoized rows
+    inner = innermost._inner
+    classes = len(inner._intern)
+    glue = inner.glue
+    calls = []
+
+    def failing_glue(*args):
+        calls.append(len(inner._intern))
+        if len(calls) > 500:
+            raise RuntimeError("injected")
+        return glue(*args)
+
+    monkeypatch.setattr(inner, "glue", failing_glue)
+    with pytest.raises(RuntimeError, match="injected"):
+        minimized_automaton(automaton, d=3)
+    assert calls[-1] > classes  # the closure had grown the tables
+    monkeypatch.undo()
+    assert _footprint(automaton) == before
+    assert (3, ()) not in cache_module._variants(automaton)
+    for projection in projections:
+        intern = projection._inner._intern
+        for (_boundary, subset), (order, rows) in projection._rows.items():
+            assert subset in projection._intern
+            for state in (*order, *rows, *(s for r in rows.values()
+                                           for s in r)):
+                assert state in intern
